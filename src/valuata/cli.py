@@ -53,13 +53,14 @@ def _series_spec(args) -> FieldSpec:
     else:
         residue = args.residue or "gf:2"
         group = args.group or "int"
-    return FieldSpec("series", residue, group, precision=args.precision or 24)
+    precision = 24 if args.precision is None else args.precision
+    return FieldSpec("series", residue, group, precision=precision)
 
 
 def _cyclo_spec(args) -> FieldSpec:
     return FieldSpec("cyclo", p=args.p or 2, m=args.m or 1,
                      with_y=bool(args.with_y),
-                     precision=args.precision or 48)
+                     precision=48 if args.precision is None else args.precision)
 
 
 def _invariants_dict(inv) -> dict:

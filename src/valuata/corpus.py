@@ -10,6 +10,7 @@ these frozen expectations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 from .as_extension import ASExtension
@@ -17,7 +18,7 @@ from .best_f import OutcomeKind, classical_swan, invariants, normalize
 from .errors import UsageError
 from .hahn_series import SeriesField, format_series
 from .kummer import CycloField, format_cyclo, kummer_invariants, normalize_h
-from .residue_field import GF, RatFunc
+from .residue_field import GF, RatFunc, _is_prime
 from .value_group import GroupKind, ValueGroup, ge
 
 
@@ -78,17 +79,15 @@ class FieldSpec:
 
 
 def _prime_power(q: int):
-    for p in (2, 3, 5, 7, 11, 13):
-        if q % p == 0:
-            m = 0
-            n = q
-            while n % p == 0:
-                n //= p
-                m += 1
-            if n != 1:
-                break
-            return p, m
-    raise UsageError(f"{q} is not a prime power")
+    """(p, m) with q = p**m; the smallest factor of q is its only candidate p."""
+    p = next((d for d in range(2, math.isqrt(max(q, 0)) + 1) if q % d == 0), q)
+    m, n = 0, q
+    while _is_prime(p) and n % p == 0:
+        n //= p
+        m += 1
+    if m == 0 or n != 1:
+        raise UsageError(f"{q} is not a prime power")
+    return p, m
 
 
 # named presets shared by the CLI

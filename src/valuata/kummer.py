@@ -34,19 +34,8 @@ from functools import lru_cache
 from .best_f import InvariantsReport, OutcomeKind
 from .errors import (InsufficientPrecisionError, NoImprovementError,
                      UsageError, ZeroToPrecisionError)
-from .residue_field import GF, RatFunc
+from .residue_field import GF, RatFunc, _is_prime
 from .value_group import ge
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
-            return False
-        k += 1
-    return True
 
 
 @dataclass(frozen=True)
@@ -154,14 +143,14 @@ class CycloField:
         if isinstance(r, int):
             return self.from_int(r)
         k = self.residue()
-        if self.with_y:
-            num = tuple(self.base_from_int(c.coeffs[0]) for c in r.num)
-            den = tuple(self.base_from_int(c.coeffs[0]) for c in r.den)
-            if not num:
-                return self.zero()
-            return CycloElt(self, num, den)
         if r.field != k:
             raise UsageError("residue element of the wrong field")
+        if self.with_y:
+            num, den = k.prime_coeffs(r)
+            if not num:
+                return self.zero()
+            return CycloElt(self, tuple(map(self.base_from_int, num)),
+                            tuple(map(self.base_from_int, den)))
         return self.from_int(r.coeffs[0])
 
 

@@ -8,6 +8,14 @@ function field over a finite field in the indeterminate y, represented as
 reduced fractions with monic denominator.  RatFunc fields are imperfect,
 which is what makes the ferocious classification cases reachable.
 
+Polynomials in y (numerators and denominators in RatFunc) are tuples of
+integer codes, low degree first, without trailing zeros: c0 + c1*w + ... has
+code c0 + c1*p + ..., so 0 and 1 are codes 0 and 1 (``GF.code`` and
+``GF.from_code`` convert).  Prime-field codes use plain ``% p``; for m > 1
+the field builds on first use antilog, log and Zech (n -> log(1 + g**n))
+tables of a primitive element g, each of size about q (von zur Gathen &
+Gerhard, *Modern Computer Algebra*, ch. 2-3).
+
 Beyond the ring operations each field decides, exactly:
 
 * ``pth_root(c)``: in GF(q) every element has the root c**(q/p).  In RatFunc
@@ -25,8 +33,9 @@ Beyond the ring operations each field decides, exactly:
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 from .errors import UsageError
 
@@ -100,6 +109,11 @@ class GFElt:
         return f"GFElt({self})"
 
 
+# Field operations on integer codes; inv and pow need a nonzero code (and
+# pow an exponent >= 1).
+CodeArith = namedtuple("CodeArith", "add neg mul inv pow")
+
+
 @dataclass(frozen=True)
 class GF:
     """The finite field GF(p**m) with a fixed monic irreducible modulus."""
@@ -162,6 +176,53 @@ class GF:
         """All q elements, in a fixed lexicographic order."""
         for coeffs in itertools.product(range(self.p), repeat=self.m):
             yield GFElt(self, coeffs)
+
+    def code(self, a: GFElt) -> int:
+        """The integer code of a: its coefficients as base-p digits."""
+        return sum(c * self.p ** i for i, c in enumerate(a.coeffs))
+
+    def from_code(self, n: int) -> GFElt:
+        return self.elt([n // self.p ** i for i in range(self.m)])
+
+    @cached_property
+    def codes(self) -> CodeArith:
+        """Arithmetic on codes, built on first use."""
+        p, n = self.p, self.q - 1
+        if self.m == 1:
+            return CodeArith(add=lambda a, b: (a + b) % p, neg=lambda a: -a % p,
+                             mul=lambda a, b: a * b % p,
+                             inv=lambda a: pow(a, p - 2, p),
+                             pow=lambda a, e: pow(a, e, p))
+        # antilog table of the first code of multiplicative order q - 1
+        for g in range(2, self.q):
+            gelt = self.from_code(g)
+            exp, x = [1], gelt
+            while self.code(x) != 1 and len(exp) <= n:
+                exp.append(self.code(x))
+                x = self._mul(x, gelt)
+            if len(exp) == n:
+                break
+        else:
+            raise UsageError("no primitive element; modulus is not irreducible")
+        log = [0] * self.q
+        for i, c in enumerate(exp):
+            log[c] = i
+        # zech[k] = log(1 + g**k), or -1 where 1 + g**k = 0; adding one to a
+        # code raises its lowest base-p digit
+        zech = [-1 if c == p - 1 else log[c - c % p + (c + 1) % p] for c in exp]
+        exp = exp + exp              # indices up to 2n - 2 need no reduction
+        half = n // 2 if p > 2 else 0    # g**half = -1
+
+        def add(a, b):
+            if not a or not b:
+                return a or b
+            z = zech[(log[b] - log[a]) % n]
+            return 0 if z < 0 else exp[log[a] + z]
+
+        return CodeArith(add=add, neg=lambda a: exp[log[a] + half] if a else 0,
+                         mul=lambda a, b: exp[log[a] + log[b]] if a and b else 0,
+                         inv=lambda a: exp[n - log[a]],
+                         pow=lambda a, e: exp[log[a] * e % n] if a else 0)
 
     def _mul(self, a: GFElt, b: GFElt) -> GFElt:
         p = self.p
@@ -243,113 +304,111 @@ class GF:
 
 
 # ---------------------------------------------------------------------------
-# polynomials over GF(q): tuples of GFElt without trailing zeros
+# polynomials over GF(q): tuples of integer codes without trailing zeros
+#
+# Tuples are built from lists, never from generators: CPython sizes a tuple
+# built from a generator by a guess and then resizes it, and the freed tuples
+# then pile up on its per-length free lists until a full garbage collection.
+# This code allocates too few tracked objects to trigger one often; built
+# from generators, a long ferocious benchmark run holds about 4 MB more.
 # ---------------------------------------------------------------------------
 
 def poly_trim(cs):
     cs = list(cs)
-    while cs and cs[-1].is_zero():
+    while cs and not cs[-1]:
         cs.pop()
     return tuple(cs)
 
 
-def poly_zero():
-    return ()
-
-
-def poly_const(c: GFElt):
-    return poly_trim([c])
-
-
-def poly_deg(a) -> int:
-    """Degree, with deg 0 = -1 by convention."""
-    return len(a) - 1
-
-
-def poly_is_zero(a) -> bool:
-    return len(a) == 0
-
-
 def poly_add(field, a, b):
-    n = max(len(a), len(b))
-    z = field.zero()
-    return poly_trim([(a[i] if i < len(a) else z) + (b[i] if i < len(b) else z)
-                      for i in range(n)])
+    if len(a) < len(b):
+        a, b = b, a
+    add = field.codes.add
+    out = [add(x, y) for x, y in zip(a, b)]
+    if len(a) > len(b):
+        return tuple(out) + a[len(b):]
+    return poly_trim(out)
 
 
 def poly_neg(field, a):
-    return tuple(-c for c in a)
-
-
-def poly_sub(field, a, b):
-    return poly_add(field, a, poly_neg(field, b))
+    neg = field.codes.neg
+    return tuple([neg(c) for c in a])
 
 
 def poly_mul(field, a, b):
     if not a or not b:
-        return poly_zero()
-    out = [field.zero()] * (len(a) + len(b) - 1)
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    if field.m == 1:
+        # accumulate integer products, reduce once
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        p = field.p
+        return tuple([c % p for c in out])
+    add, _, mul, _, _ = field.codes
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
-                out[i + j] = out[i + j] + x * y
-    return poly_trim(out)
+            for j, y in enumerate(b, i):
+                out[j] = add(out[j], mul(x, y))
+    return tuple(out)
 
 
-def poly_scale(field, a, c: GFElt):
-    return poly_trim([x * c for x in a])
+def poly_scale(field, a, c: int):
+    if not c:
+        return ()
+    mul = field.codes.mul
+    return tuple([mul(x, c) for x in a])
 
 
 def poly_divmod(field, a, b):
-    if poly_is_zero(b):
+    """Quotient and remainder of a by b, with deg r < deg b."""
+    if not b:
         raise ZeroDivisionError("polynomial division by zero")
+    n = len(b) - 1
+    if len(a) <= n:
+        return (), a
     r = list(a)
-    q = [field.zero()] * max(0, len(a) - len(b) + 1)
-    inv_lead = field.inv(b[-1])
-    while len(r) >= len(b) and not all(c.is_zero() for c in r):
-        r = list(poly_trim(r))
-        if len(r) < len(b):
-            break
-        shift = len(r) - len(b)
-        factor = r[-1] * inv_lead
-        q[shift] = q[shift] + factor
-        for i, c in enumerate(b):
-            r[shift + i] = r[shift + i] - factor * c
-    return poly_trim(q), poly_trim(r)
-
-
-def poly_monic(field, a):
-    if poly_is_zero(a):
-        return a
-    return poly_scale(field, a, field.inv(a[-1]))
+    q = [0] * (len(a) - n)
+    lead_inv = field.codes.inv(b[-1])
+    low = b[:n]
+    if field.m == 1:
+        # r holds unreduced integers; only the coefficient read is reduced
+        p = field.p
+        for k in range(len(q) - 1, -1, -1):
+            f = r[k + n] * lead_inv % p
+            if f:
+                q[k] = f
+                for i, c in enumerate(low, k):
+                    r[i] -= f * c
+        return tuple(q), poly_trim([c % p for c in r[:n]])
+    add, neg, mul, _, _ = field.codes
+    for k in range(len(q) - 1, -1, -1):
+        f = mul(r[k + n], lead_inv)
+        if f:
+            q[k] = f
+            f = neg(f)
+            for i, c in enumerate(low, k):
+                r[i] = add(r[i], mul(f, c))
+    return tuple(q), poly_trim(r[:n])
 
 
 def poly_gcd(field, a, b):
-    while not poly_is_zero(b):
-        _, r = poly_divmod(field, a, b)
-        a, b = b, r
-    return poly_monic(field, a)
-
-
-def poly_eval(field, a, x: GFElt) -> GFElt:
-    acc = field.zero()
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
-
-
-def poly_deriv(field, a):
-    return poly_trim([a[i] * field.from_int(i) for i in range(1, len(a))])
+    """The monic gcd; () when both are zero."""
+    while b:
+        a, b = b, poly_divmod(field, a, b)[1]
+    return poly_scale(field, a, field.codes.inv(a[-1])) if a else a
 
 
 def poly_frobenius(field, a):
     """a(y)**p, using additivity of Frobenius: exponents stretch by p."""
-    if poly_is_zero(a):
+    if not a:
         return a
-    out = [field.zero()] * ((len(a) - 1) * field.p + 1)
-    for i, c in enumerate(a):
-        out[i * field.p] = field.frobenius(c)
-    return poly_trim(out)
+    p, power = field.p, field.codes.pow
+    out = [0] * ((len(a) - 1) * p + 1)
+    out[::p] = [power(c, p) for c in a]
+    return tuple(out)
 
 
 def poly_pth_root(field, a):
@@ -358,85 +417,10 @@ def poly_pth_root(field, a):
     Works coefficient by coefficient: a is a p-th power iff every exponent
     carrying a nonzero coefficient is divisible by p.
     """
-    if poly_is_zero(a):
-        return a
-    p = field.p
-    if (len(a) - 1) % p != 0:
+    p, power = field.p, field.codes.pow
+    if any(c for i, c in enumerate(a) if i % p):
         return None
-    out = [field.zero()] * ((len(a) - 1) // p + 1)
-    for i, c in enumerate(a):
-        if c.is_zero():
-            continue
-        if i % p != 0:
-            return None
-        out[i // p] = field.pth_root(c)
-    return poly_trim(out)
-
-
-def _monic_polys(field, degree):
-    """All monic polynomials of the given degree, fixed order."""
-    for tail in itertools.product(field.elements(), repeat=degree):
-        yield poly_trim(list(tail) + [field.one()])
-
-
-@lru_cache(maxsize=None)
-def _irreducibles_upto(field, degree):
-    """Monic irreducibles of degree <= degree, found by sieving with smaller ones."""
-    out = []
-    for d in range(1, degree + 1):
-        for cand in _monic_polys(field, d):
-            if all(poly_divmod(field, cand, f)[1] for f in out if poly_deg(f) <= d // 2):
-                out.append(cand)
-    return tuple(out)
-
-
-def poly_is_irreducible(field, a) -> bool:
-    d = poly_deg(a)
-    if d <= 0:
-        return False
-    if d == 1:
-        return True
-    for f in _irreducibles_upto(field, d // 2):
-        if poly_is_zero(poly_divmod(field, a, f)[1]):
-            return False
-    return True
-
-
-def poly_factor(field, a):
-    """Monic irreducible factorization [(factor, multiplicity), ...].
-
-    Utility quality: trial division against enumerated irreducibles, meant
-    for the small degrees exercised here.  The unit is dropped after making
-    the input monic.
-    """
-    if poly_is_zero(a):
-        raise UsageError("cannot factor the zero polynomial")
-    a = poly_monic(field, a)
-    out = []
-    d = poly_deg(a)
-    for f in _irreducibles_upto(field, d):
-        if poly_deg(a) < 1:
-            break
-        mult = 0
-        while True:
-            q, r = poly_divmod(field, a, f)
-            if poly_is_zero(r) and not poly_is_zero(q):
-                a, mult = q, mult + 1
-            else:
-                break
-        if mult:
-            out.append((f, mult))
-    if poly_deg(a) >= 1:
-        out.append((a, 1))
-    return out
-
-
-def poly_squarefree_part(field, a):
-    """Product of the distinct irreducible factors."""
-    result = poly_const(field.one())
-    for f, _ in poly_factor(field, a):
-        result = poly_mul(field, result, f)
-    return result
+    return tuple([power(c, field.q // p) for c in a[::p]])
 
 
 # ---------------------------------------------------------------------------
@@ -454,15 +438,29 @@ class RatFuncElt:
     def _check(self, other):
         if not isinstance(other, RatFuncElt):
             raise TypeError(f"cannot combine RatFuncElt with {type(other).__name__}")
-        if other.field != self.field:
+        if other.field is not self.field and other.field != self.field:
             raise UsageError("elements of different residue fields")
 
     def __add__(self, other):
+        """Henrici's sum: with g = gcd(den1, den2) the numerator
+        num1*den2/g + num2*den1/g is prime to den1/g and den2/g, so only g
+        can cancel against it."""
         self._check(other)
         gf = self.field.base
-        num = poly_add(gf, poly_mul(gf, self.num, other.den),
-                       poly_mul(gf, other.num, self.den))
-        return self.field._reduced(num, poly_mul(gf, self.den, other.den))
+        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        if d1 == d2:
+            g = d1
+            num = poly_add(gf, n1, n2)
+            d1 = d2 = (1,)
+        else:
+            g = (1,) if len(d1) == 1 or len(d2) == 1 else poly_gcd(gf, d1, d2)
+            if len(g) > 1:
+                d1, d2 = poly_divmod(gf, d1, g)[0], poly_divmod(gf, d2, g)[0]
+            num = poly_add(gf, poly_mul(gf, n1, d2), poly_mul(gf, n2, d1))
+        num, g = _cancel(gf, num, g)
+        if not num:
+            return self.field.zero()
+        return RatFuncElt(self.field, num, poly_mul(gf, poly_mul(gf, g, d1), d2))
 
     def __sub__(self, other):
         return self + (-other)
@@ -471,19 +469,24 @@ class RatFuncElt:
         return RatFuncElt(self.field, poly_neg(self.field.base, self.num), self.den)
 
     def __mul__(self, other):
+        """Henrici's product: cancelling num1 against den2 and num2 against
+        den1 leaves products already in lowest terms, with monic den."""
         self._check(other)
         gf = self.field.base
-        return self.field._reduced(poly_mul(gf, self.num, other.num),
-                                   poly_mul(gf, self.den, other.den))
+        if not self.num or not other.num:
+            return self.field.zero()
+        n1, d2 = _cancel(gf, self.num, other.den)
+        n2, d1 = _cancel(gf, other.num, self.den)
+        return RatFuncElt(self.field, poly_mul(gf, n1, n2), poly_mul(gf, d1, d2))
 
     def __pow__(self, n: int):
         return self.field.pow(self, n)
 
     def is_zero(self):
-        return poly_is_zero(self.num)
+        return not self.num
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.num)
 
     def __str__(self):
         return self.field.format_elt(self)
@@ -507,45 +510,49 @@ class RatFunc:
         return f"ratfunc:{self.base.q}"
 
     def _reduced(self, num, den) -> RatFuncElt:
-        gf = self.base
-        if poly_is_zero(den):
+        """num/den in lowest terms with monic den."""
+        if not den:
             raise ZeroDivisionError("zero denominator")
-        if poly_is_zero(num):
-            return RatFuncElt(self, poly_zero(), poly_const(gf.one()))
-        g = poly_gcd(gf, num, den)
-        if poly_deg(g) > 0:
-            num = poly_divmod(gf, num, g)[0]
-            den = poly_divmod(gf, den, g)[0]
-        lead = den[-1]
-        if not (lead - gf.one()).is_zero():
-            inv = gf.inv(lead)
-            num = poly_scale(gf, num, inv)
-            den = poly_scale(gf, den, inv)
-        return RatFuncElt(self, num, den)
+        gf = self.base
+        num, den = _cancel(gf, num, den)
+        inv = gf.codes.inv(den[-1])
+        return RatFuncElt(self, poly_scale(gf, num, inv), poly_scale(gf, den, inv))
 
     def from_polys(self, num, den) -> RatFuncElt:
-        return self._reduced(poly_trim(num), poly_trim(den))
+        """The fraction of two coefficient sequences of GFElt, low degree first."""
+        code = self.base.code
+        return self._reduced(poly_trim(map(code, num)), poly_trim(map(code, den)))
 
     def zero(self) -> RatFuncElt:
-        return self._reduced(poly_zero(), poly_const(self.base.one()))
+        return RatFuncElt(self, (), (1,))
 
     def one(self) -> RatFuncElt:
-        return self.from_base(self.base.one())
+        return RatFuncElt(self, (1,), (1,))
 
     def from_int(self, n: int) -> RatFuncElt:
         return self.from_base(self.base.from_int(n))
 
     def from_base(self, c: GFElt) -> RatFuncElt:
-        return self._reduced(poly_const(c), poly_const(self.base.one()))
+        return RatFuncElt(self, poly_trim((self.base.code(c),)), (1,))
 
     def gen(self) -> RatFuncElt:
-        return self._reduced((self.base.zero(), self.base.one()),
-                             poly_const(self.base.one()))
+        return RatFuncElt(self, (0, 1), (1,))
+
+    def prime_coeffs(self, a: RatFuncElt) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Numerator and denominator coefficients of a, low degree first, as
+        integers 0..p-1.  Needs a prime base field."""
+        if self.base.m != 1:
+            raise UsageError("coefficients are integers only over a prime field")
+        return a.num, a.den
 
     def inv(self, a: RatFuncElt) -> RatFuncElt:
         if a.is_zero():
             raise ZeroDivisionError("inverse of zero in a residue field")
-        return self._reduced(a.den, a.num)
+        # den/num is already in lowest terms; only its lead needs scaling
+        gf = self.base
+        lead_inv = gf.codes.inv(a.num[-1])
+        return RatFuncElt(self, poly_scale(gf, a.den, lead_inv),
+                          poly_scale(gf, a.num, lead_inv))
 
     def pow(self, a: RatFuncElt, n: int) -> RatFuncElt:
         if n < 0:
@@ -560,29 +567,29 @@ class RatFunc:
         return result
 
     def frobenius(self, a: RatFuncElt) -> RatFuncElt:
+        """num**p / den**p is again reduced, with den**p monic."""
         gf = self.base
-        return self._reduced(poly_frobenius(gf, a.num), poly_frobenius(gf, a.den))
+        return RatFuncElt(self, poly_frobenius(gf, a.num), poly_frobenius(gf, a.den))
 
     def pth_root(self, a: RatFuncElt) -> RatFuncElt | None:
         """Root of a reduced fraction, or None when a is not a p-th power.
 
         A reduced fraction is a p-th power exactly when numerator and
         denominator separately are: if (n/d)**p is reduced so is n**p/d**p,
-        and reduced forms with monic denominator are unique.
+        and reduced forms with monic denominator are unique.  The roots are
+        coprime again and the root of a monic polynomial is monic.
         """
-        if a.is_zero():
-            return a
         num = poly_pth_root(self.base, a.num)
         if num is None:
             return None
         den = poly_pth_root(self.base, a.den)
         if den is None:
             return None
-        return self._reduced(num, den)
+        return RatFuncElt(self, num, den)
 
     def artin_schreier_degree_bound(self, c: RatFuncElt) -> int:
         """Documented degree bound for preimage numerators; see the solver."""
-        return max(poly_deg(c.num), poly_deg(c.den)) // self.p + 1
+        return (max(len(c.num), len(c.den)) - 1) // self.p + 1
 
     def artin_schreier_preimage(self, c: RatFuncElt) -> RatFuncElt | None:
         """Some x with x**p - x = c, or None.
@@ -594,81 +601,70 @@ class RatFunc:
         numerator satisfies the GF(p)-linear equation
         n**p - n d**(p-1) = num(c) with deg n <= artin_schreier_degree_bound:
         pB = deg num when n dominates, deg n <= deg d otherwise.  We solve
-        the bounded linear system over GF(p), coefficientwise in a GF(p)
-        basis of GF(q), and verify the witness before returning it.
+        the bounded linear system over GF(p), coefficientwise in the GF(p)
+        basis 1, w, ..., w^(m-1) of GF(q) (the codes p**b), and verify the
+        witness before returning it.
         """
         gf = self.base
         p, mdeg = gf.p, gf.m
         if c.is_zero():
             return self.zero()
-        den_root = poly_pth_root(gf, c.den)
-        if den_root is None:
+        d = poly_pth_root(gf, c.den)
+        if d is None:
             return None
-        d = den_root
         bound = self.artin_schreier_degree_bound(c)
-        dpow = poly_const(gf.one())
+        dpow = (1,)
         for _ in range(p - 1):
             dpow = poly_mul(gf, d, dpow)
-
-        def phi(npoly):
-            return poly_sub(gf, poly_frobenius(gf, npoly), poly_mul(gf, npoly, dpow))
-
-        # unknown coefficients of n: (degree t, basis index b) -> GF(p)
-        cols = []
-        basis_elts = [gf.elt([0] * b + [1]) for b in range(mdeg)]
-        max_len = 0
+        # one unknown per (degree t, basis index b), in that order
         images = []
         for t in range(bound + 1):
-            for e in basis_elts:
-                img = phi(poly_trim([gf.zero()] * t + [e]))
-                images.append(img)
-                max_len = max(max_len, len(img))
-        target = c.num
-        max_len = max(max_len, len(target))
-        nrows = max_len * mdeg
-        for img in images:
-            col = []
-            for i in range(max_len):
-                coeff = img[i] if i < len(img) else gf.zero()
-                col.extend(coeff.coeffs)
-            cols.append(col)
-        rhs = []
-        for i in range(max_len):
-            coeff = target[i] if i < len(target) else gf.zero()
-            rhs.extend(coeff.coeffs)
-        solution = _solve_mod_p(cols, rhs, nrows, p)
+            for b in range(mdeg):
+                mono = (0,) * t + (p ** b,)
+                images.append(poly_add(gf, poly_frobenius(gf, mono),
+                                       poly_neg(gf, poly_mul(gf, mono, dpow))))
+        max_len = max(len(c.num), *map(len, images))
+
+        def coords(a):  # over GF(p): the base-p digits of each code
+            return [n // p ** b % p for n in a + (0,) * (max_len - len(a))
+                    for b in range(mdeg)]
+
+        solution = _solve_mod_p(list(map(coords, images)), coords(c.num),
+                                max_len * mdeg, p)
         if solution is None:
             return None
-        ncoeffs = [gf.zero()] * (bound + 1)
-        idx = 0
-        for t in range(bound + 1):
-            acc = gf.zero()
-            for e in basis_elts:
-                if solution[idx]:
-                    acc = acc + e * gf.from_int(solution[idx])
-                idx += 1
-            ncoeffs[t] = acc
-        x = self.from_polys(ncoeffs, d)
+        ncoeffs = [sum(solution[t * mdeg + b] * p ** b for b in range(mdeg))
+                   for t in range(bound + 1)]
+        x = self._reduced(poly_trim(ncoeffs), d)
         if (self.pow(x, p) - x) - c:
             raise UsageError("linear solve produced a bad preimage; solver bug")
         return x
 
     def format_elt(self, a: RatFuncElt) -> str:
         num = _format_poly(self.base, a.num)
-        if poly_deg(a.den) < 1 and (not a.den or (a.den[0] - self.base.one()).is_zero()):
+        if a.den == (1,):
             return num
         return f"({num})/({_format_poly(self.base, a.den)})"
 
 
+def _cancel(field, a, b):
+    """a/g and b/g for g = gcd(a, b); no gcd when b is constant."""
+    if len(b) == 1:
+        return a, b
+    g = poly_gcd(field, a, b)
+    if len(g) == 1:
+        return a, b
+    return poly_divmod(field, a, g)[0], poly_divmod(field, b, g)[0]
+
+
 def _format_poly(field, a) -> str:
-    if poly_is_zero(a):
+    if not a:
         return "0"
     parts = []
     for i in range(len(a) - 1, -1, -1):
-        c = a[i]
-        if c.is_zero():
+        if not a[i]:
             continue
-        cs = field.format_elt(c)
+        cs = field.format_elt(field.from_code(a[i]))
         if i == 0:
             parts.append(cs if ("+" not in cs and "*" not in cs) else f"({cs})")
             continue

@@ -5,6 +5,7 @@ or add -s to see the summary lines.  Each criterion is independent; a failure
 in one never masks another.
 """
 
+import hashlib
 import json
 import random
 import time
@@ -221,3 +222,15 @@ def test_criterion_10_triviality_gates():
     _line(10, ok, f"gates: v(f)>0 -> {positive}, residue in the "
                   f"Artin-Schreier image -> {split}, h=9 over the 2-adics "
                   f"-> {nine}")
+
+
+def test_criterion_11_ferocious_family_verifies_fast(tmp_path):
+    code, report, elapsed = _cli_json(tmp_path, "verify-norm-ideal", "y*X^(-2)",
+                                      "--field", "gf2y-laurent", "--count", "25")
+    digest = hashlib.sha256((tmp_path / "out.json").read_bytes()).hexdigest()
+    samples = (report or {}).get("samples") or []
+    equal = sum(s["s"] == s["s_prime"] for s in samples)
+    ok = (code == 0 and len(samples) == 25 and equal == 25 and elapsed < 20.0
+          and digest == "9716bba03c415dc012df51132f82b1a6de18915acd5974461f180c789e33d228")
+    _line(11, ok, f"verify-norm-ideal y*X^(-2) over GF(2)(y), 25 samples: "
+                  f"s = s' on {equal}, report sha256 {digest[:12]} in {elapsed:.2f}s")

@@ -221,3 +221,33 @@ def test_group_choice_is_validated(capsys):
         main(["analyze-as", "X^(-3)", "--group", "weird"])
     assert info.value.code == 1
     capsys.readouterr()
+
+
+# -- regressions -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("residue", ["gf:17", "ratfunc:17"])
+def test_residue_prime_above_13_is_accepted(capsys, residue):
+    code, report, _ = run_json(capsys, "analyze-as", "X^(-1)", "--residue", residue)
+    assert code == 0
+    assert report["field"]["residue"] == residue
+    assert report["classification"]["verdict"] == "best-i"
+    assert report["invariants"]["product"] == 17
+
+
+@pytest.mark.parametrize("residue", ["gf:12", "gf:1"])
+def test_residue_that_is_not_a_prime_power_exits_one(capsys, residue):
+    code, out, err = run(capsys, "analyze-as", "X^(-1)", "--residue", residue)
+    assert code == 1
+    assert not out
+    assert "is not a prime power" in err
+
+
+@pytest.mark.parametrize("argv", [("analyze-as", "X^(-3)"),
+                                  ("classify-kummer", "5", "--p", "2")])
+@pytest.mark.parametrize("precision", ["0", "-5"])
+def test_nonpositive_precision_exits_one(capsys, argv, precision):
+    code, out, err = run(capsys, *argv, "--precision", precision)
+    assert code == 1
+    assert not out
+    assert "precision" in err
