@@ -5,11 +5,23 @@ the basis 1, alpha, ..., alpha**(p-1); products reduce through the defining
 equation.  The Galois action sends alpha to alpha + t for t = 0, ..., p-1,
 norm and trace are computed as conjugate products and sums, and both are
 cross-checkable against the determinant and trace of the multiplication
-matrix, which is computed by plain Laplace expansion and shares nothing
-with the conjugate route beyond ring arithmetic.
+matrix, which is computed by Berkowitz's division-free algorithm and shares
+nothing with the conjugate route beyond ring arithmetic.
 
 Valuations on the extension are computed through the norm: the valuation of
 a is v(N(a))/p, living in the p-divided hull of the base value group.
+valuation_L needs only the leading term of N(a), so it first computes the
+norm of a with every coordinate cut at m + delta, m the least valuation
+bound among the coordinates (relaxed evaluation: van der Hoeven, "Relax,
+but don't be too lazy", 2002).  Cutting a coordinate only lowers its
+precision bound, and series arithmetic carries bounds honestly, so every
+visible term of that truncated norm is a true coefficient of N(a) and
+everything below it is known; its first term is therefore the leading term
+of N(a), exactly.  When no term is visible, delta doubles.  Once the cut
+would keep every coordinate whole (past its last term and its bound), the
+full norm is computed instead, and it answers or raises exactly as
+computing v(N(a)) directly does.  norm, trace, invert and everything else
+keep computing full norms.
 """
 
 from __future__ import annotations
@@ -20,7 +32,11 @@ from dataclasses import dataclass
 from .errors import (InsufficientPrecisionError, ResidualAlphaComponentError,
                      TrivialExtensionError, UsageError)
 from .hahn_series import SeriesElt, SeriesField
-from .value_group import GroupElt
+from .value_group import GroupElt, ge
+
+# first cut above the least coordinate bound in valuation_L, in units of
+# the value group (first coordinate for lex2)
+_LAZY_DELTA = 4
 
 
 def _triviality_witness(field: SeriesField, f: SeriesElt):
@@ -106,14 +122,14 @@ class ExtElt:
 
     def __add__(self, other):
         self._check(other)
-        return ExtElt(self.ext, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return ExtElt(self.ext, tuple([a + b for a, b in zip(self.coeffs, other.coeffs)]))
 
     def __sub__(self, other):
         self._check(other)
-        return ExtElt(self.ext, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return ExtElt(self.ext, tuple([a - b for a, b in zip(self.coeffs, other.coeffs)]))
 
     def __neg__(self):
-        return ExtElt(self.ext, tuple(-a for a in self.coeffs))
+        return ExtElt(self.ext, tuple([-a for a in self.coeffs]))
 
     def __mul__(self, other):
         self._check(other)
@@ -137,7 +153,7 @@ class ExtElt:
         return ExtElt(self.ext, tuple(prod[:p]))
 
     def scale_base(self, c: SeriesElt) -> "ExtElt":
-        return ExtElt(self.ext, tuple(a * c for a in self.coeffs))
+        return ExtElt(self.ext, tuple([a * c for a in self.coeffs]))
 
     def is_base(self) -> bool:
         """No visible term above the constant coefficient."""
@@ -204,7 +220,7 @@ class ExtElt:
         return [tuple(cols[j][i] for j in range(ext.p)) for i in range(ext.p)]
 
     def norm_via_matrix(self) -> SeriesElt:
-        """Determinant of the multiplication matrix, by Laplace expansion."""
+        """Determinant of the multiplication matrix (Berkowitz)."""
         self.ext.require_nontrivial()
         return _det(self.ext.base, self.multiplication_matrix())
 
@@ -217,8 +233,30 @@ class ExtElt:
         return acc
 
     def valuation_L(self) -> GroupElt:
-        """Valuation in the p-divided hull of the base group: v(N(a))/p."""
-        return self.norm().valuation().divide(self.ext.p)
+        """Valuation in the p-divided hull of the base group: v(N(a))/p,
+        read off the norm of a with truncated coordinates when that norm
+        shows a term (module docstring), else off the full norm."""
+        p = self.ext.p
+        live = [c for c in self.coeffs if not c.is_exact_zero()]
+        if live:
+            m = min(c.val_lower_bound() for c in live)
+            # a cut beyond top keeps every coordinate whole
+            top = max(c.terms[-1][0] if c.precision is None else c.precision
+                      for c in live)
+            delta = ge(_LAZY_DELTA) if self.ext.base.group.rank == 1 \
+                else ge(_LAZY_DELTA, 0)
+            while not m + delta > top:
+                cut = m + delta
+                head = ExtElt(self.ext, tuple([
+                    c if c.is_exact_zero() else c.truncate(cut) for c in self.coeffs]))
+                try:
+                    n = head.norm()
+                except ResidualAlphaComponentError:
+                    break       # the full norm gives the verdict
+                if n.has_terms():
+                    return n.valuation().divide(p)
+                delta = delta.scale(2)
+        return self.norm().valuation().divide(p)
 
     def invert(self, target: GroupElt | None = None) -> "ExtElt":
         """Inverse: product of the other conjugates over the norm."""
@@ -245,14 +283,33 @@ class ExtElt:
 
 
 def _det(base: SeriesField, rows) -> SeriesElt:
+    """Determinant by Berkowitz's division-free algorithm, O(n**4) ring
+    operations.
+
+    poly holds the characteristic polynomial det(x - A_r) of the leading
+    r x r block, highest degree first.  Bordering A_r by row R, column C and
+    corner a multiplies it by the lower-triangular Toeplitz matrix whose
+    first column is 1, -a, -R C, -R A_r C, ..., -R A_r**(r-1) C.
+    """
     n = len(rows)
-    if n == 1:
-        return rows[0][0]
+    poly = [base.one()]
+    for r in range(n):
+        col = [base.one(), -rows[r][r]]
+        vec = [rows[i][r] for i in range(r)]
+        for k in range(r):
+            if k:
+                vec = [_dot(base, rows[i][:r], vec) for i in range(r)]
+            col.append(-_dot(base, rows[r][:r], vec))
+        poly = [_dot(base, [col[i - j] for j in range(i + 1)], poly)
+                for i in range(r + 2)]
+    # the constant term of det(x - A) is (-1)**n det(A)
+    return poly[n] if n % 2 == 0 else -poly[n]
+
+
+def _dot(base: SeriesField, xs, ys) -> SeriesElt:
     acc = base.zero()
-    for i in range(n):
-        minor = [row[1:] for k, row in enumerate(rows) if k != i]
-        term = rows[i][0] * _det(base, minor)
-        acc = acc + term if i % 2 == 0 else acc - term
+    for x, y in zip(xs, ys):
+        acc = acc + x * y
     return acc
 
 

@@ -287,7 +287,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "p", None) and getattr(args, "residue", None):
         tag = args.residue.split(":")[-1]
-        if tag and int(tag) % args.p != 0:
+        # a malformed size is reported by the field builder
+        if tag.isdigit() and int(tag) % args.p != 0:
             parser.error(f"--p {args.p} conflicts with --residue {args.residue}")
     try:
         report = args.run(args)

@@ -61,7 +61,10 @@ class FieldSpec:
 
     def _residue_field(self):
         tag, _, q_text = self.residue.partition(":")
-        q = int(q_text or "0")
+        try:
+            q = int(q_text or "0")
+        except ValueError:
+            raise UsageError(f"field size {q_text!r} is not an integer") from None
         if tag == "gf":
             p, m = _prime_power(q)
             return GF(p, m)

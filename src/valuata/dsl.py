@@ -299,7 +299,10 @@ def parse_expr(text: str, field) -> SeriesElt | CycloElt:
     else:
         raise UsageError(f"no parser for field {field!r}")
     parser = _Parser(text, builder)
-    value = parser.expr()
+    try:
+        value = parser.expr()
+    except RecursionError:
+        raise UsageError("expression nested too deeply") from None
     kind, _, pos = parser.peek()
     if kind != "end":
         raise UsageError(f"trailing input at position {pos}")

@@ -153,7 +153,7 @@ class SeriesElt:
         return self + (-other)
 
     def __neg__(self):
-        return SeriesElt(self.field, tuple((e, -c) for e, c in self.terms), self.precision)
+        return SeriesElt(self.field, tuple([(e, -c) for e, c in self.terms]), self.precision)
 
     def __mul__(self, other):
         self._check(other)
@@ -167,10 +167,13 @@ class SeriesElt:
         prec = min(cands) if cands else None
         out = {}
         for e1, c1 in self.terms:
+            # terms are sorted and the order respects addition, so the
+            # products for this e1 only grow: the first one past the bound
+            # ends the row
             for e2, c2 in other.terms:
                 e = e1 + e2
                 if prec is not None and not e < prec:
-                    continue
+                    break
                 out[e] = out[e] + c1 * c2 if e in out else c1 * c2
         return self.field.make(out.items(), prec)
 

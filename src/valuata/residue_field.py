@@ -78,16 +78,16 @@ class GFElt:
     def __add__(self, other):
         self._check(other)
         p = self.field.p
-        return GFElt(self.field, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        return GFElt(self.field, tuple([(a + b) % p for a, b in zip(self.coeffs, other.coeffs)]))
 
     def __sub__(self, other):
         self._check(other)
         p = self.field.p
-        return GFElt(self.field, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        return GFElt(self.field, tuple([(a - b) % p for a, b in zip(self.coeffs, other.coeffs)]))
 
     def __neg__(self):
         p = self.field.p
-        return GFElt(self.field, tuple((-a) % p for a in self.coeffs))
+        return GFElt(self.field, tuple([(-a) % p for a in self.coeffs]))
 
     def __mul__(self, other):
         self._check(other)

@@ -44,22 +44,22 @@ class GroupElt:
 
     def __add__(self, other):
         self._check(other)
-        return GroupElt(tuple(a + b for a, b in zip(self.parts, other.parts)))
+        return GroupElt(tuple([a + b for a, b in zip(self.parts, other.parts)]))
 
     def __sub__(self, other):
         self._check(other)
-        return GroupElt(tuple(a - b for a, b in zip(self.parts, other.parts)))
+        return GroupElt(tuple([a - b for a, b in zip(self.parts, other.parts)]))
 
     def __neg__(self):
-        return GroupElt(tuple(-a for a in self.parts))
+        return GroupElt(tuple([-a for a in self.parts]))
 
     def scale(self, n: int) -> "GroupElt":
         """n-fold sum of self, n any integer."""
-        return GroupElt(tuple(a * n for a in self.parts))
+        return GroupElt(tuple([a * n for a in self.parts]))
 
     def divide(self, n: int) -> "GroupElt":
         """Exact division inside the divisible hull; result may leave the group."""
-        return GroupElt(tuple(a / n for a in self.parts))
+        return GroupElt(tuple([a / n for a in self.parts]))
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.parts)

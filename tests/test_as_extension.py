@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from valuata.as_extension import ASExtension
+from valuata.corpus import FieldSpec
+from valuata.dsl import parse_expr
 from valuata.errors import TrivialExtensionError
 from valuata.hahn_series import agrees_to_precision
 from valuata.sampling import random_ext_elt
@@ -137,3 +139,16 @@ def test_norm_routes_agree_random(seed):
     rng = random.Random(seed)
     x = random_ext_elt(ext, rng, ge(-2), ge(2))
     assert agrees_to_precision(x.norm(), x.norm_via_matrix())
+
+
+@pytest.mark.parametrize("coeffs", [("2 + X^(-1)", "0", "3*X^(2)"),
+                                    ("1", "0", "0", "0", "0", "X^(1)")])
+def test_norm_routes_agree_at_p11(coeffs):
+    # the Berkowitz determinant stays affordable where Laplace expansion
+    # (11! terms) would not
+    field = FieldSpec("series", "gf:11", "int", precision=24).build()
+    ext = build(field, "X^(-1)")
+    x = ext.from_coeffs([parse_expr(c, field) for c in coeffs])
+    n = x.norm()
+    assert n.has_terms()
+    assert n == x.norm_via_matrix()

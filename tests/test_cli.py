@@ -251,3 +251,21 @@ def test_nonpositive_precision_exits_one(capsys, argv, precision):
     assert code == 1
     assert not out
     assert "precision" in err
+
+
+@pytest.mark.parametrize("extra", [(), ("--p", "2")])
+def test_non_integer_field_size_exits_one(capsys, extra):
+    code, out, err = run(capsys, "analyze-as", "X^(-1)", "--residue", "gf:x", *extra)
+    assert code == 1
+    assert not out
+    assert "is not an integer" in err
+
+
+@pytest.mark.parametrize("expr", ["(" * 2000 + "X" + ")" * 2000,
+                                  "X + " + "-" * 2000 + "X"],
+                         ids=["parentheses", "unary-minus"])
+def test_deeply_nested_expression_exits_one(capsys, expr):
+    code, out, err = run(capsys, "analyze-as", expr)
+    assert code == 1
+    assert not out
+    assert "nested too deeply" in err
