@@ -13,9 +13,8 @@ from .best_f import (ASClassification, InvariantsReport, NormalizeOutcome,
                      OutcomeKind, Verdict, bestness_probe, classify,
                      classical_swan, improve, invariants, normalize)
 from .kummer import (CycloBase, CycloElt, CycloField, KummerClassification,
-                     KummerOutcome, KummerVerdict, classify_h, cyclo_agrees,
-                     improve_h, kummer_bestness_probe, kummer_invariants,
-                     normalize_h)
+                     KummerVerdict, classify_h, cyclo_agrees, improve_h,
+                     kummer_bestness_probe, kummer_invariants, normalize_h)
 from .norm_ideal import (LefschetzSample, SInequalityReport, TraceLemmaReport,
                          derivative_product, gamma_of, hn_defectless_check,
                          lefschetz_val, sample_generator, sample_unit_generator,
@@ -36,7 +35,7 @@ __all__ = [
     "Verdict", "bestness_probe", "classify", "classical_swan", "improve",
     "invariants", "normalize",
     "CycloBase", "CycloElt", "CycloField", "KummerClassification",
-    "KummerOutcome", "KummerVerdict", "classify_h", "cyclo_agrees",
+    "KummerVerdict", "classify_h", "cyclo_agrees",
     "improve_h", "kummer_bestness_probe", "kummer_invariants", "normalize_h",
     "LefschetzSample", "SInequalityReport", "TraceLemmaReport",
     "derivative_product", "gamma_of", "hn_defectless_check", "lefschetz_val",

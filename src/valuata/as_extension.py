@@ -29,8 +29,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import (InsufficientPrecisionError, ResidualAlphaComponentError,
-                     TrivialExtensionError, UsageError)
+from .errors import (ResidualAlphaComponentError, TrivialExtensionError,
+                     UsageError)
 from .hahn_series import SeriesElt, SeriesField
 from .value_group import GroupElt, ge
 
@@ -311,21 +311,3 @@ def _dot(base: SeriesField, xs, ys) -> SeriesElt:
     for x, y in zip(xs, ys):
         acc = acc + x * y
     return acc
-
-
-def mu_valuation_formula(ext: ASExtension, coeffs_in_mu) -> GroupElt:
-    """Valuation of sum(x_i * mu**i) predicted by the minimum formula, where
-    mu = alpha * g is the rescaled generator of valuation zero.
-
-    Shipped as a testable alternative for ferocious extensions; the norm
-    route stays the uniform implementation.
-    """
-    vals = []
-    for x in coeffs_in_mu:
-        if x.has_terms():
-            vals.append(x.valuation())
-        elif not x.is_exact_zero():
-            raise InsufficientPrecisionError("coefficient is zero to precision")
-    if not vals:
-        raise UsageError("the zero vector has no valuation")
-    return min(vals)

@@ -67,6 +67,10 @@ class ASClassification:
     def is_best(self) -> bool:
         return self.verdict in (Verdict.BEST_I, Verdict.BEST_II, Verdict.BEST_III)
 
+    @property
+    def is_trivial(self) -> bool:
+        return self.verdict is Verdict.TRIVIAL
+
 
 class OutcomeKind(enum.Enum):
     BEST_FOUND = "best-found"
@@ -76,9 +80,13 @@ class OutcomeKind(enum.Enum):
 
 @dataclass(frozen=True)
 class NormalizeOutcome:
+    """Result of either engine's normalization: f_star is the final
+    SeriesElt or CycloElt (None when trivial), p the degree."""
+
     kind: OutcomeKind
-    f_star: SeriesElt | None
-    classification: ASClassification | None
+    p: int
+    f_star: object
+    classification: object
     steps: int
     budget: int
     trajectory: tuple
@@ -165,6 +173,36 @@ def improve(f: SeriesElt, h: SeriesElt) -> SeriesElt:
     return out
 
 
+def normalize_loop(x, budget: int, classify_step, improve_step,
+                   level) -> NormalizeOutcome:
+    """The classify/improve loop of both engines.
+
+    classify_step(x) returns the classification and the element it was
+    decided on, which replaces x (Kummer strips a p-th power monomial);
+    improve_step(x, c) applies the witness of c; level(x) is the trajectory
+    entry of x, or None when the data hide it.
+    """
+    if budget < 0:
+        raise UsageError("budget must be nonnegative")
+    p = x.field.p
+    trajectory = []
+    steps = 0
+    while True:
+        c, x = classify_step(x)
+        if c.is_trivial:
+            return NormalizeOutcome(OutcomeKind.TRIVIAL, p, None, c, steps,
+                                    budget, tuple(trajectory))
+        trajectory = trajectory or [level(x)]
+        if c.is_best or steps == budget:
+            kind = OutcomeKind.BEST_FOUND if c.is_best else OutcomeKind.DEFECT_EVIDENCE
+            return NormalizeOutcome(kind, p, x, c, steps, budget, tuple(trajectory))
+        x = improve_step(x, c)
+        steps += 1
+        value = level(x)
+        if value is not None:
+            trajectory.append(value)
+
+
 def normalize(f: SeriesElt, budget: int = 32) -> NormalizeOutcome:
     """Iterate classify/improve until best, trivial, or the budget is spent.
 
@@ -172,37 +210,23 @@ def normalize(f: SeriesElt, budget: int = 32) -> NormalizeOutcome:
     returns the strictly increasing, bounded evidence sequence that signals
     defect instead of silently looping.
     """
-    if budget < 0:
-        raise UsageError("budget must be nonnegative")
-    current = f
-    trajectory = []
-    steps = 0
-    while True:
-        verdict = classify(current)
-        if verdict.verdict is Verdict.TRIVIAL:
-            return NormalizeOutcome(OutcomeKind.TRIVIAL, None, verdict, steps,
-                                    budget, tuple(trajectory))
-        trajectory = trajectory or [current.valuation()]
-        if verdict.is_best:
-            return NormalizeOutcome(OutcomeKind.BEST_FOUND, current, verdict,
-                                    steps, budget, tuple(trajectory))
-        if steps == budget:
-            return NormalizeOutcome(OutcomeKind.DEFECT_EVIDENCE, current,
-                                    verdict, steps, budget, tuple(trajectory))
-        current = improve(current, verdict.improvement_h)
-        steps += 1
-        if not current.is_exact_zero():
-            try:
-                trajectory.append(current.valuation())
-            except InsufficientPrecisionError:
-                pass
+    return normalize_loop(f, budget, lambda x: (classify(x), x),
+                          lambda x, c: improve(x, c.improvement_h), _level)
+
+
+def _level(f: SeriesElt):
+    try:
+        return None if f.is_exact_zero() else f.valuation()
+    except InsufficientPrecisionError:
+        return None
 
 
 def invariants(outcome: NormalizeOutcome) -> InvariantsReport:
-    """Ramification invariants certified by a finished normalization."""
+    """Ramification invariants certified by a finished normalization; the
+    trivial and defect cases serve Kummer outcomes too."""
     if outcome.kind is OutcomeKind.TRIVIAL:
         return InvariantsReport(1, 1, 1, "trivial", None)
-    p = _prime_of(outcome)
+    p = outcome.p
     if outcome.kind is OutcomeKind.DEFECT_EVIDENCE:
         return InvariantsReport(1, 1, p, "defect", None)
     c = outcome.classification
@@ -212,21 +236,6 @@ def invariants(outcome: NormalizeOutcome) -> InvariantsReport:
     if c.verdict is Verdict.BEST_II:
         return InvariantsReport(1, p, 1, "ferocious", swan)
     return InvariantsReport(1, p, 1, "unramified", swan)
-
-
-def _prime_of(outcome: NormalizeOutcome) -> int:
-    if outcome.f_star is not None:
-        return outcome.f_star.field.p
-    return 0 if outcome.classification is None else _guess_p(outcome)
-
-
-def _guess_p(outcome: NormalizeOutcome) -> int:
-    c = outcome.classification
-    for attr in ("improvement_h", "unit"):
-        elt = getattr(c, attr)
-        if elt is not None:
-            return elt.field.p
-    raise UsageError("outcome does not determine the prime")
 
 
 def classical_swan(f_star: SeriesElt, ext: ASExtension | None = None) -> GroupElt:

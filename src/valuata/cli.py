@@ -11,8 +11,11 @@ Six commands over the two engines:
     run-corpus             execute the built-in corpus against expectations
 
 Reports are deterministic JSON (schema 1, sorted keys, LF endings): the same
-request with the same seed is byte-identical.  Exit codes: 0 success, 1 for
-usage or precision problems, 2 when a checked mathematical identity fails.
+request with the same seed is byte-identical.  The normalize report bodies,
+and the invariants and classification dicts of every report, are built in
+``corpus``, whose entries check a fixed slice of those same bodies.  Exit
+codes: 0 success, 1 for usage or precision problems, 2 when a checked
+mathematical identity fails.
 """
 
 from __future__ import annotations
@@ -24,14 +27,14 @@ import random
 import sys
 
 from .as_extension import ASExtension
-from .best_f import (NormalizeOutcome, OutcomeKind, classical_swan, classify,
-                     invariants, normalize)
-from .corpus import FIELD_PRESETS, FieldSpec, run_corpus
+from .best_f import NormalizeOutcome, OutcomeKind, classify, invariants, normalize
+from .corpus import (FIELD_PRESETS, FieldSpec, as_classification_dict,
+                     as_normalize_body, invariants_dict,
+                     kummer_classification_dict, kummer_normalize_body,
+                     run_corpus, swan_check)
 from .dsl import parse_expr
 from .errors import MathAssertError, UsageError, ValuataError
-from .hahn_series import format_series
-from .kummer import (KummerOutcome, classify_h, format_cyclo,
-                     kummer_invariants, normalize_h)
+from .kummer import classify_h, kummer_invariants, normalize_h
 from .norm_ideal import s_inequality_suite, trace_lemma_suite
 
 
@@ -42,143 +45,86 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _series_spec(args) -> FieldSpec:
+class _FlagConflict(UsageError):
+    """Flags that contradict each other; reported like argparse's errors."""
+
+
+def _series_input(args):
+    """The field spec and the parsed generator of a series command; --p must
+    name the characteristic of the residue field actually used."""
     if args.field:
         if args.field not in FIELD_PRESETS:
             known = ", ".join(sorted(FIELD_PRESETS))
             raise UsageError(f"unknown field preset {args.field!r}; known: {known}")
-        spec = FIELD_PRESETS[args.field]
-        residue = args.residue or spec.residue
-        group = args.group or spec.group
+        preset = FIELD_PRESETS[args.field]
+        residue = args.residue or preset.residue
+        group = args.group or preset.group
     else:
         residue = args.residue or "gf:2"
         group = args.group or "int"
     precision = 24 if args.precision is None else args.precision
-    return FieldSpec("series", residue, group, precision=precision)
+    spec = FieldSpec("series", residue, group, precision=precision)
+    field = spec.build()
+    if args.p is not None and args.p != field.p:
+        raise _FlagConflict(f"--p {args.p} conflicts with the residue field "
+                            f"{spec.residue} of characteristic {field.p}")
+    return spec, parse_expr(args.expr, field)
 
 
-def _cyclo_spec(args) -> FieldSpec:
-    return FieldSpec("cyclo", p=args.p or 2, m=args.m or 1,
-                     with_y=bool(args.with_y),
+def _cyclo_input(args):
+    spec = FieldSpec("cyclo", p=args.p, m=args.m, with_y=bool(args.with_y),
                      precision=48 if args.precision is None else args.precision)
+    return spec, parse_expr(args.expr, spec.build())
 
 
-def _invariants_dict(inv) -> dict:
-    return {"e": inv.e, "f_res": inv.f_res, "d": inv.d, "type": inv.type,
-            "swan": None if inv.swan is None else str(inv.swan),
-            "product": inv.product()}
+def _settled(c, x):
+    """The zero-step outcome of a classification of x that needs no
+    improvement (best-found or trivial); None for an improvable one."""
+    if c.is_trivial:
+        return NormalizeOutcome(OutcomeKind.TRIVIAL, x.field.p, None, c, 0, 0, ())
+    if c.is_best:
+        return NormalizeOutcome(OutcomeKind.BEST_FOUND, x.field.p, x, c, 0, 0, ())
+    return None
 
 
-def _maybe(value, fmt=str):
-    return None if value is None else fmt(value)
-
-
-def _as_classification_dict(c) -> dict:
-    return {
-        "verdict": c.verdict.value,
-        "valuation": _maybe(c.valuation),
-        "unit_residue": _maybe(c.unit_residue),
-        "residue": _maybe(c.residue),
-        "improvement": _maybe(c.improvement_h, format_series),
-        "note": c.note,
-    }
-
-
-def _kummer_classification_dict(c) -> dict:
-    return {
-        "verdict": c.verdict.value,
-        "valuation": c.valuation,
-        "w_valuation": c.w_valuation,
-        "unit_residue": _maybe(c.unit_residue),
-        "c_residue": _maybe(c.c_residue),
-        "s_exponent": c.s_exponent,
-        "improvement_g": _maybe(c.g, format_cyclo),
-        "improvement_i": c.i if c.g is not None else None,
-        "note": c.note,
-    }
-
-
-def cmd_analyze_as(args) -> dict:
-    spec = _series_spec(args)
-    field = spec.build()
-    f = parse_expr(args.expr, field)
+def cmd_analyze_as(args):
+    spec, f = _series_input(args)
     c = classify(f)
-    report = {"classification": _as_classification_dict(c),
-              "invariants": None, "swan_check": None}
-    if c.is_best:
-        outcome = NormalizeOutcome(OutcomeKind.BEST_FOUND, f, c, 0, 0,
-                                   (f.valuation(),))
-        report["invariants"] = _invariants_dict(invariants(outcome))
-        swan = classical_swan(f)
-        report["swan_check"] = {"conductor": str(swan), "agree": True}
-    elif c.verdict.value == "trivial":
-        outcome = NormalizeOutcome(OutcomeKind.TRIVIAL, None, c, 0, 0, ())
-        report["invariants"] = _invariants_dict(invariants(outcome))
-    return _wrap(report, "analyze-as", spec, args.expr)
+    outcome = _settled(c, f)
+    report = {"classification": as_classification_dict(c),
+              "invariants": None if outcome is None
+              else invariants_dict(invariants(outcome)),
+              "swan_check": swan_check(f) if c.is_best else None}
+    return report, spec
 
 
-def cmd_normalize_as(args) -> dict:
-    spec = _series_spec(args)
-    field = spec.build()
-    f = parse_expr(args.expr, field)
-    outcome = normalize(f, args.budget)
-    inv = invariants(outcome)
-    report = {
-        "outcome": outcome.kind.value,
-        "steps": outcome.steps,
-        "budget": outcome.budget,
-        "trajectory": [str(v) for v in outcome.trajectory],
-        "invariants": _invariants_dict(inv),
-        "f_star": _maybe(outcome.f_star, format_series),
-        "classification": None if outcome.classification is None
-        else _as_classification_dict(outcome.classification),
-        "swan_check": None,
-    }
-    if outcome.kind is OutcomeKind.BEST_FOUND:
-        swan = classical_swan(outcome.f_star)
-        report["swan_check"] = {"conductor": str(swan), "agree": True}
-    return _wrap(report, "normalize-as", spec, args.expr)
+def cmd_normalize_as(args):
+    spec, f = _series_input(args)
+    report = as_normalize_body(normalize(f, args.budget))
+    return report, spec
 
 
-def cmd_classify_kummer(args) -> dict:
-    spec = _cyclo_spec(args)
-    field = spec.build()
-    h = parse_expr(args.expr, field)
+def cmd_classify_kummer(args):
+    spec, h = _cyclo_input(args)
     c = classify_h(h)
-    report = {"classification": _kummer_classification_dict(c),
-              "invariants": None}
-    if c.is_best:
-        outcome = KummerOutcome(OutcomeKind.BEST_FOUND, c.h, c, 0, 0, ())
-        report["invariants"] = _invariants_dict(kummer_invariants(outcome))
-    elif c.verdict.value == "trivial":
-        outcome = KummerOutcome(OutcomeKind.TRIVIAL, None, c, 0, 0, ())
-        report["invariants"] = _invariants_dict(kummer_invariants(outcome))
-    return _wrap(report, "classify-kummer", spec, args.expr)
+    outcome = _settled(c, c.h)
+    report = {"classification": kummer_classification_dict(c),
+              "invariants": None if outcome is None
+              else invariants_dict(kummer_invariants(outcome))}
+    return report, spec
 
 
-def cmd_normalize_kummer(args) -> dict:
-    spec = _cyclo_spec(args)
-    field = spec.build()
-    h = parse_expr(args.expr, field)
-    outcome = normalize_h(h, args.budget)
-    report = {
-        "outcome": outcome.kind.value,
-        "steps": outcome.steps,
-        "budget": outcome.budget,
-        "trajectory": list(outcome.trajectory),
-        "invariants": _invariants_dict(kummer_invariants(outcome)),
-        "h_star": _maybe(outcome.h_star, format_cyclo),
-        "classification": None if outcome.classification is None
-        else _kummer_classification_dict(outcome.classification),
-    }
-    return _wrap(report, "normalize-kummer", spec, args.expr)
+def cmd_normalize_kummer(args):
+    spec, h = _cyclo_input(args)
+    report = kummer_normalize_body(normalize_h(h, args.budget))
+    return report, spec
 
 
-def cmd_verify_norm_ideal(args) -> dict:
-    spec = _series_spec(args)
-    field = spec.build()
-    f = parse_expr(args.expr, field)
-    ext = ASExtension(field, f)
+def cmd_verify_norm_ideal(args):
+    if args.count < 1:
+        raise UsageError("--count must be at least 1")
+    spec, f = _series_input(args)
+    ext = ASExtension(f.field, f)
     ext.require_nontrivial()
     rng = random.Random(args.seed)
     s_reports = s_inequality_suite(ext, rng, args.count)
@@ -194,24 +140,11 @@ def cmd_verify_norm_ideal(args) -> dict:
         and all(t.passed for t in trace_reports),
         "seed": args.seed,
     }
-    return _wrap(report, "verify-norm-ideal", spec, args.expr)
+    return report, spec
 
 
-def cmd_run_corpus(args) -> dict:
-    body = run_corpus()
-    report = dict(body)
-    report["schema"] = 1
-    report["command"] = "run-corpus"
-    return report
-
-
-def _wrap(body: dict, command: str, spec: FieldSpec, expr: str) -> dict:
-    report = dict(body)
-    report["schema"] = 1
-    report["command"] = command
-    report["field"] = spec.descriptor()
-    report["input"] = expr
-    return report
+def cmd_run_corpus(args):
+    return run_corpus(), None
 
 
 def _emit(report: dict, path: str | None) -> None:
@@ -285,19 +218,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "p", None) and getattr(args, "residue", None):
-        tag = args.residue.split(":")[-1]
-        # a malformed size is reported by the field builder
-        if tag.isdigit() and int(tag) % args.p != 0:
-            parser.error(f"--p {args.p} conflicts with --residue {args.residue}")
     try:
-        report = args.run(args)
+        # a command returns its report body and the field it ran over
+        body, spec = args.run(args)
+    except _FlagConflict as exc:
+        parser.error(str(exc))
     except MathAssertError as exc:
         sys.stderr.write(f"theorem check failed: {exc}\n")
         return 2
     except (ValuataError, ZeroDivisionError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    report = {**body, "schema": 1, "command": args.command}
+    if spec is not None:
+        report.update(field=spec.descriptor(), input=args.expr)
     _emit(report, getattr(args, "json_path", None))
     # corpus regressions and failed sample checks are theorem-level events
     if report.get("aggregate_pass") is False:

@@ -1,4 +1,4 @@
-"""Built-in instance corpus with expected reports.
+"""Built-in instance corpus with expected reports, and the report bodies.
 
 Each entry names a field, a generator expression, and the exact report
 fragment a run must reproduce.  The entries cover every classification
@@ -6,6 +6,10 @@ verdict on both sides (equal characteristic and p-adic), the improvement
 chains, the defect-evidence loops over dense value groups, and the trivial
 gates; the suite runners in the CLI and the tests compare reports against
 these frozen expectations.
+
+The JSON bodies of the normalize reports are built here, once per engine,
+and the CLI prints the same bodies; a corpus fragment is a fixed slice of
+the body (see run_entry), so the corpus checks the CLI's own report.
 """
 
 from __future__ import annotations
@@ -13,8 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 
-from .as_extension import ASExtension
 from .best_f import OutcomeKind, classical_swan, invariants, normalize
+from .dsl import parse_expr
 from .errors import UsageError
 from .hahn_series import SeriesField, format_series
 from .kummer import CycloField, format_cyclo, kummer_invariants, normalize_h
@@ -236,68 +240,93 @@ ENTRIES: tuple[CorpusEntry, ...] = (
 )
 
 
-def entry_by_name(name: str) -> CorpusEntry:
-    for entry in ENTRIES:
-        if entry.name == name:
-            return entry
-    raise UsageError(f"no corpus entry named {name!r}")
+def _maybe(value, fmt=str):
+    return None if value is None else fmt(value)
 
 
-def run_entry(entry: CorpusEntry) -> dict:
-    """Execute one corpus instance and return its report fragment."""
-    from .dsl import parse_expr
-    built = entry.field.build()
-    value = parse_expr(entry.expr, built)
-    if entry.kind == "as":
-        outcome = normalize(value, entry.budget)
-        report = _as_report(outcome, built)
-    else:
-        outcome = normalize_h(value, entry.budget)
-        report = _kummer_report(outcome)
-    return report
-
-
-def _invariants_dict(inv) -> dict:
+def invariants_dict(inv) -> dict:
     return {"e": inv.e, "f_res": inv.f_res, "d": inv.d, "type": inv.type,
-            "swan": None if inv.swan is None else str(inv.swan)}
+            "swan": _maybe(inv.swan), "product": inv.product()}
 
 
-def _as_report(outcome, base: SeriesField) -> dict:
-    inv = invariants(outcome)
-    report = {
+def as_classification_dict(c) -> dict:
+    return {
+        "verdict": c.verdict.value,
+        "valuation": _maybe(c.valuation),
+        "unit_residue": _maybe(c.unit_residue),
+        "residue": _maybe(c.residue),
+        "improvement": _maybe(c.improvement_h, format_series),
+        "note": c.note,
+    }
+
+
+def kummer_classification_dict(c) -> dict:
+    return {
+        "verdict": c.verdict.value,
+        "valuation": c.valuation,
+        "w_valuation": c.w_valuation,
+        "unit_residue": _maybe(c.unit_residue),
+        "c_residue": _maybe(c.c_residue),
+        "s_exponent": c.s_exponent,
+        "improvement_g": _maybe(c.g, format_cyclo),
+        "improvement_i": c.i if c.g is not None else None,
+        "note": c.note,
+    }
+
+
+def swan_check(f_star) -> dict:
+    """Swan conductor of a best element, cross-checked through norms."""
+    return {"conductor": str(classical_swan(f_star)), "agree": True}
+
+
+def as_normalize_body(outcome) -> dict:
+    """Report body of an equal-characteristic normalization."""
+    best = outcome.kind is OutcomeKind.BEST_FOUND
+    return {
         "outcome": outcome.kind.value,
         "steps": outcome.steps,
         "budget": outcome.budget,
         "trajectory": [str(v) for v in outcome.trajectory],
-        "invariants": _invariants_dict(inv),
-        "verdict": None,
-        "f_star": None,
+        "invariants": invariants_dict(invariants(outcome)),
+        "f_star": _maybe(outcome.f_star, format_series),
+        "classification": as_classification_dict(outcome.classification),
+        "swan_check": swan_check(outcome.f_star) if best else None,
     }
-    if outcome.classification is not None:
-        report["verdict"] = outcome.classification.verdict.value
-    if outcome.kind is OutcomeKind.BEST_FOUND:
-        report["f_star"] = format_series(outcome.f_star)
-        swan = classical_swan(outcome.f_star)
-        report["swan_check"] = {"conductor": str(swan), "agree": True}
-    return report
 
 
-def _kummer_report(outcome) -> dict:
-    inv = kummer_invariants(outcome)
-    report = {
+def kummer_normalize_body(outcome) -> dict:
+    """Report body of a Kummer normalization."""
+    return {
         "outcome": outcome.kind.value,
         "steps": outcome.steps,
         "budget": outcome.budget,
         "trajectory": list(outcome.trajectory),
-        "invariants": _invariants_dict(inv),
-        "verdict": None,
-        "h_star": None,
+        "invariants": invariants_dict(kummer_invariants(outcome)),
+        "h_star": _maybe(outcome.f_star, format_cyclo),
+        "classification": kummer_classification_dict(outcome.classification),
     }
-    if outcome.classification is not None:
-        report["verdict"] = outcome.classification.verdict.value
-    if outcome.kind is OutcomeKind.BEST_FOUND:
-        report["h_star"] = format_cyclo(outcome.h_star)
-    return report
+
+
+def run_entry(entry: CorpusEntry) -> dict:
+    """Execute one corpus instance and return its report fragment.
+
+    The fragment is a fixed slice of the normalize report body: the
+    invariants without their product, the verdict, the final element only
+    for best-found, and the swan check only when it ran.
+    """
+    value = parse_expr(entry.expr, entry.field.build())
+    if entry.kind == "as":
+        body, star = as_normalize_body(normalize(value, entry.budget)), "f_star"
+    else:
+        body, star = kummer_normalize_body(normalize_h(value, entry.budget)), "h_star"
+    fragment = {key: body[key] for key in ("outcome", "steps", "budget", "trajectory")}
+    fragment["invariants"] = {k: v for k, v in body["invariants"].items()
+                              if k != "product"}
+    fragment["verdict"] = body["classification"]["verdict"]
+    fragment[star] = body[star] if body["outcome"] == "best-found" else None
+    if body.get("swan_check") is not None:
+        fragment["swan_check"] = body["swan_check"]
+    return fragment
 
 
 def matches_expected(expected: dict, got: dict) -> bool:

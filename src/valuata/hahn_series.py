@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InsufficientPrecisionError, UsageError, ZeroToPrecisionError
-from .value_group import INFINITY, GroupElt, GroupKind, ValueGroup
+from .value_group import INFINITY, GroupElt, ValueGroup
 
 
 @dataclass(frozen=True)
@@ -120,16 +120,6 @@ class SeriesElt:
         if not self.terms:
             raise ZeroToPrecisionError(bound=self.precision)
         return self.terms[0][1]
-
-    def coeff_at(self, exp: GroupElt):
-        """Coefficient at an exponent, certified; errors if truncation hides it."""
-        for e, c in self.terms:
-            if e == exp:
-                return c
-        if self.precision is not None and not exp < self.precision:
-            raise InsufficientPrecisionError(
-                f"coefficient at {exp} lies beyond the precision bound {self.precision}")
-        return self.field.residue.zero()
 
     # -- ring structure ----------------------------------------------------
 
@@ -326,8 +316,3 @@ def format_series(a: SeriesElt) -> str:
 
 def _atomic(s: str) -> bool:
     return " " not in s and "+" not in s and "/" not in s
-
-
-def lex2_series_field(residue, p: int, default_precision: GroupElt) -> SeriesField:
-    """Convenience constructor for the rank-two lexicographic value group."""
-    return SeriesField(residue, ValueGroup(GroupKind.LEX2, p), default_precision)

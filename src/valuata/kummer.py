@@ -31,7 +31,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .best_f import InvariantsReport, OutcomeKind
+from .best_f import (InvariantsReport, NormalizeOutcome, OutcomeKind,
+                     invariants, normalize_loop)
 from .errors import (InsufficientPrecisionError, NoImprovementError,
                      UsageError, ZeroToPrecisionError)
 from .residue_field import GF, RatFunc, _is_prime
@@ -612,15 +613,9 @@ class KummerClassification:
     def is_best(self) -> bool:
         return self.verdict not in (KummerVerdict.NOT_BEST, KummerVerdict.TRIVIAL)
 
-
-@dataclass(frozen=True)
-class KummerOutcome:
-    kind: OutcomeKind
-    h_star: CycloElt | None
-    classification: KummerClassification | None
-    steps: int
-    budget: int
-    trajectory: tuple
+    @property
+    def is_trivial(self) -> bool:
+        return self.verdict is KummerVerdict.TRIVIAL
 
 
 def kummer_precheck(h: CycloElt) -> bool:
@@ -720,37 +715,20 @@ def improve_h(h: CycloElt, g: CycloElt, i: int = 1) -> CycloElt:
     return out
 
 
-def normalize_h(h: CycloElt, budget: int = 16) -> KummerOutcome:
+def normalize_h(h: CycloElt, budget: int = 16) -> NormalizeOutcome:
     """Iterate classify/improve until a best shape, triviality, or the budget.
 
     Over this discretely valued base the loop always terminates well inside
     any reasonable budget; the defect-evidence outcome exists for interface
     symmetry with the equal-characteristic engine.
     """
-    if budget < 0:
-        raise UsageError("budget must be nonnegative")
-    current = h
-    trajectory = []
-    steps = 0
-    while True:
-        verdict = classify_h(current)
-        current = verdict.h
-        if verdict.verdict is KummerVerdict.TRIVIAL:
-            return KummerOutcome(OutcomeKind.TRIVIAL, None, verdict, steps,
-                                 budget, tuple(trajectory))
-        if not trajectory:
-            trajectory = [_w_val_or_none(current)]
-        if verdict.is_best:
-            return KummerOutcome(OutcomeKind.BEST_FOUND, current, verdict,
-                                 steps, budget, tuple(trajectory))
-        if steps == budget:
-            return KummerOutcome(OutcomeKind.DEFECT_EVIDENCE, current, verdict,
-                                 steps, budget, tuple(trajectory))
-        current = improve_h(current, verdict.g, verdict.i)
-        steps += 1
-        val = _w_val_or_none(current)
-        if val is not None:
-            trajectory.append(val)
+    return normalize_loop(h, budget, _classify_step,
+                          lambda x, c: improve_h(x, c.g, c.i), _w_val_or_none)
+
+
+def _classify_step(h: CycloElt):
+    c = classify_h(h)
+    return c, c.h
 
 
 def _w_val_or_none(h: CycloElt):
@@ -760,15 +738,13 @@ def _w_val_or_none(h: CycloElt):
         return None
 
 
-def kummer_invariants(outcome: KummerOutcome) -> InvariantsReport:
+def kummer_invariants(outcome: NormalizeOutcome) -> InvariantsReport:
     """Ramification invariants, with the conductor-style count
     swan = m*p - v(h* - 1) for the best shapes."""
-    if outcome.kind is OutcomeKind.TRIVIAL:
-        return InvariantsReport(1, 1, 1, "trivial", None)
-    field = (outcome.h_star or outcome.classification.h).field
+    if outcome.kind is not OutcomeKind.BEST_FOUND:
+        return invariants(outcome)
+    field = outcome.f_star.field
     p = field.p
-    if outcome.kind is OutcomeKind.DEFECT_EVIDENCE:
-        return InvariantsReport(1, 1, p, "defect", None)
     c = outcome.classification
     if c.verdict is KummerVerdict.BEST_I:
         return InvariantsReport(p, 1, 1, "wild", ge(field.threshold))

@@ -102,15 +102,6 @@ def random_series(field: SeriesField, rng: Random, lo: GroupElt, hi: GroupElt,
     return elt
 
 
-def random_unit_series(field: SeriesField, rng: Random, hi: GroupElt,
-                       max_terms: int = 3) -> SeriesElt:
-    """Valuation-zero series: 1 + terms of positive exponent."""
-    tiny = field.group.zero()
-    tail = random_series(field, rng, tiny, hi, max_terms)
-    positive = field.make([(e, c) for e, c in tail.terms if e > tiny], None)
-    return field.one() + positive
-
-
 def random_shift_probe(field: SeriesField, rng: Random, lo=-4, hi=4,
                        max_terms: int = 3) -> SeriesElt:
     """A probe h for sup-attainment checks: small random support reaching

@@ -158,7 +158,7 @@ def test_criterion_07_bestness_probes_find_no_improvement():
         checked += 1
     for entry, field, outcome in _kummer_best_instances():
         probes = [random_cyclo_unit(field, rng) for _ in range(200)]
-        violations += len(kummer_bestness_probe(outcome.h_star, probes))
+        violations += len(kummer_bestness_probe(outcome.f_star, probes))
         checked += 1
     ok = checked >= 10 and violations == 0
     _line(7, ok, f"200 probes against each of {checked} normalized "

@@ -269,3 +269,46 @@ def test_deeply_nested_expression_exits_one(capsys, expr):
     assert code == 1
     assert not out
     assert "nested too deeply" in err
+
+
+@pytest.mark.parametrize("flag, message", [("--p", "not prime"),
+                                           ("--m", "must be positive")])
+def test_kummer_zero_p_or_m_exits_one(capsys, flag, message):
+    code, out, err = run(capsys, "classify-kummer", "2", flag, "0")
+    assert code == 1
+    assert not out
+    assert message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze-as", "X^(-3)", "--field", "gf2-laurent", "--p", "3"),
+    ("analyze-as", "X^(-3)", "--p", "3"),
+    ("analyze-as", "X^(-3)", "--residue", "gf:2", "--p", "1"),
+    ("analyze-as", "X^(-3)", "--residue", "gf:16", "--p", "4"),
+    ("verify-norm-ideal", "X^(-1)", "--field", "gf3-laurent", "--p", "2"),
+])
+def test_series_p_must_match_the_characteristic(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    assert info.value.code == 1
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert "conflicts with the residue field" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze-as", "X^(-3)", "--residue", "gf:16", "--p", "2"),
+    ("normalize-as", "X^(-1)", "--field", "gf3-laurent", "--p", "3"),
+])
+def test_series_p_matching_the_characteristic_is_accepted(capsys, argv):
+    code, report, _ = run_json(capsys, *argv)
+    assert code == 0
+    assert report["invariants"]["product"] == int(argv[-1])
+
+
+@pytest.mark.parametrize("count", ["0", "-5"])
+def test_verify_norm_ideal_count_below_one_exits_one(capsys, count):
+    code, out, err = run(capsys, "verify-norm-ideal", "X^(-3)", "--count", count)
+    assert code == 1
+    assert not out
+    assert "--count" in err

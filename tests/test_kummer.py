@@ -291,7 +291,7 @@ def test_product_is_p_on_every_verdict(q2, q2_pi, q3_zeta):
 def test_probe_best_h_star(q2, rng):
     out = normalize_h(q2.from_int(2))
     probes = [random_cyclo_unit(q2, rng) for _ in range(40)]
-    assert kummer_bestness_probe(out.h_star, probes) == []
+    assert kummer_bestness_probe(out.f_star, probes) == []
 
 
 def test_probe_catches_improvable(q2_pi):
@@ -307,7 +307,7 @@ def test_probe_property_on_chain_output(seed):
     out = normalize_h(parse_expr("1 + pi^(2)", K))
     rng = random.Random(seed)
     probes = [random_cyclo_unit(K, rng) for _ in range(8)]
-    assert kummer_bestness_probe(out.h_star, probes) == []
+    assert kummer_bestness_probe(out.f_star, probes) == []
 
 
 @settings(max_examples=30, deadline=None)
