@@ -51,7 +51,8 @@ class ASClassification:
     Exactly the fields relevant to the verdict are set: valuation for every
     non-trivial verdict, unit and unit_residue for best-ii, residue for
     best-iii, improvement_h for not-best, preimage or the positive valuation
-    note for trivial.
+    note for trivial (the valuation is unset when f is exactly zero or zero
+    to a positive precision bound).
     """
 
     verdict: Verdict
@@ -110,9 +111,10 @@ class InvariantsReport:
 def classify(f: SeriesElt) -> ASClassification:
     """Decide which certificate f carries, or produce an improvement.
 
-    The decision tree follows the three best shapes.  A positive valuation
-    or an exactly zero f is already trivial.  At valuation zero the residue
-    decides: no Artin-Schreier preimage means best-iii, otherwise the lift
+    The decision tree follows the three best shapes.  A positive valuation,
+    an exactly zero f or an f that is zero to a positive bound is already
+    trivial.  At valuation zero the residue decides: no Artin-Schreier
+    preimage means best-iii, otherwise the lift
     of the preimage improves f (and iterating leads to trivial).  At
     negative valuation indivisibility of v(f) by p means best-i; otherwise
     f factors through the canonical monomial g = X**(-v(f)/p) as a unit u
@@ -124,12 +126,16 @@ def classify(f: SeriesElt) -> ASClassification:
     k = field.residue
     if f.is_exact_zero():
         return ASClassification(Verdict.TRIVIAL, note="f is exactly zero")
-    try:
-        v = f.valuation()
-    except InsufficientPrecisionError as exc:
-        raise InsufficientPrecisionError(
-            "cannot classify: f is zero to working precision") from exc
     zero = group.zero()
+    if not f.has_terms():
+        # v(f) >= bound is all that is known; a positive bound settles it
+        if f.precision > zero:
+            return ASClassification(
+                Verdict.TRIVIAL,
+                note=f"f is zero to precision {f.precision} > 0")
+        raise InsufficientPrecisionError(
+            "cannot classify: f is zero to working precision")
+    v = f.valuation()
     if v > zero:
         return ASClassification(Verdict.TRIVIAL, valuation=v,
                                 note="positive valuation")

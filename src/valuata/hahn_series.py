@@ -11,10 +11,23 @@ quantity that is mathematically zero can never show a visible term.
 The distinction between an exact zero and a zero to precision is kept
 explicit: the first has valuation INFINITY, the second raises
 ZeroToPrecisionError because its valuation is simply not known.
+
+Value-group membership is checked where a value enters from outside the
+layer: SeriesField.make (and monomial, from_residue, zero_to on top of it)
+checks every exponent and the bound, shift and truncate check their one
+argument, and pth_root asks is_p_divisible of every exponent.  The closed
+operations build their results without asking again, because a group is
+closed under what they do to exponents: sums and differences of members
+(+, -, *, shift), integer multiples (frobenius) and prefixes of a sorted
+list (truncate).  They keep the other invariants by construction as well:
++ and - merge two sorted lists, * sorts its accumulated products once,
+shift, frobenius and scaling by a nonzero residue map the terms in order
+and keep every coefficient nonzero, and every result is cut at its bound.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import InsufficientPrecisionError, UsageError, ZeroToPrecisionError
@@ -42,7 +55,8 @@ class SeriesField:
         return self.residue.p
 
     def make(self, terms, precision) -> "SeriesElt":
-        """Canonical constructor: merge, sort, drop zeros and invisible terms."""
+        """Validating constructor: check every exponent and the bound, then
+        merge, sort, drop zeros and invisible terms."""
         merged = {}
         for exp, coeff in terms:
             self.group.check_member(exp)
@@ -52,9 +66,18 @@ class SeriesField:
                 merged[exp] = coeff
         if precision is not None:
             self.group.check_member(precision)
-        kept = sorted(
-            (e, c) for e, c in merged.items()
-            if c and (precision is None or e < precision))
+        return self._from_distinct(merged.items(), precision)
+
+    def _from_distinct(self, pairs, precision) -> "SeriesElt":
+        """Internal builder for (exponent, coefficient) pairs whose exponents
+        are distinct members of the group, in any order: sort once, drop
+        zero coefficients and the terms at or beyond the bound."""
+        if precision is None:
+            kept = [t for t in pairs if t[1]]
+        else:
+            bound = precision.parts
+            kept = [t for t in pairs if t[1] and t[0].parts < bound]
+        kept.sort(key=_exp_key)
         return SeriesElt(self, tuple(kept), precision)
 
     def zero(self) -> "SeriesElt":
@@ -79,7 +102,9 @@ class SeriesField:
 
 @dataclass(frozen=True)
 class SeriesElt:
-    """See the module docstring; build through SeriesField.make."""
+    """See the module docstring; build through SeriesField.make, which
+    checks its input, while the arithmetic below builds its results
+    directly."""
 
     field: SeriesField
     terms: tuple
@@ -137,7 +162,29 @@ class SeriesElt:
             prec = self.precision
         else:
             prec = min(self.precision, other.precision)
-        return self.field.make(self.terms + other.terms, prec)
+        # a linear merge of the two sorted term lists, each cut at the bound
+        a = _below(self.terms, prec)
+        b = _below(other.terms, prec)
+        out = []
+        i = j = 0
+        while i < len(a) and j < len(b):
+            ka = a[i][0].parts
+            kb = b[j][0].parts
+            if ka < kb:
+                out.append(a[i])
+                i += 1
+            elif kb < ka:
+                out.append(b[j])
+                j += 1
+            else:
+                c = a[i][1] + b[j][1]
+                if c:
+                    out.append((a[i][0], c))
+                i += 1
+                j += 1
+        out += a[i:]
+        out += b[j:]
+        return SeriesElt(self.field, tuple(out), prec)
 
     def __sub__(self, other):
         return self + (-other)
@@ -165,26 +212,28 @@ class SeriesElt:
                 if prec is not None and not e < prec:
                     break
                 out[e] = out[e] + c1 * c2 if e in out else c1 * c2
-        return self.field.make(out.items(), prec)
+        return self.field._from_distinct(out.items(), prec)
 
     def scale_residue(self, c) -> "SeriesElt":
         """Multiply by a residue constant; precision is unchanged."""
         if not c:
-            return self.field.zero() if self.precision is None \
-                else self.field.zero_to(self.precision)
-        return self.field.make(((e, coeff * c) for e, coeff in self.terms), self.precision)
+            return SeriesElt(self.field, (), self.precision)
+        return SeriesElt(self.field, tuple([(e, coeff * c) for e, coeff in self.terms]),
+                         self.precision)
 
     def scale_int(self, n: int) -> "SeriesElt":
         return self.scale_residue(self.field.residue.from_int(n))
 
     def shift(self, exp: GroupElt) -> "SeriesElt":
         """Multiply by the monomial X^exp; exact on terms and bound alike."""
+        self.field.group.check_member(exp)
         prec = None if self.precision is None else self.precision + exp
-        return self.field.make(((e + exp, c) for e, c in self.terms), prec)
+        return SeriesElt(self.field, tuple([(e + exp, c) for e, c in self.terms]), prec)
 
     def truncate(self, precision: GroupElt) -> "SeriesElt":
+        self.field.group.check_member(precision)
         prec = precision if self.precision is None else min(precision, self.precision)
-        return self.field.make(self.terms, prec)
+        return SeriesElt(self.field, _below(self.terms, prec), prec)
 
     # -- the operations the theory needs ------------------------------------
 
@@ -207,8 +256,9 @@ class SeriesElt:
         p = self.field.p
         k = self.field.residue
         prec = None if self.precision is None else self.precision.scale(p)
-        return self.field.make(
-            ((e.scale(p), k.frobenius(c)) for e, c in self.terms), prec)
+        return SeriesElt(self.field,
+                         tuple([(e.scale(p), k.frobenius(c)) for e, c in self.terms]),
+                         prec)
 
     def pth_root(self) -> "SeriesElt":
         """Inverse of frobenius where it exists; exponents and the bound
@@ -230,7 +280,9 @@ class SeriesElt:
             prec = self.precision.divide(p)
             if not group.contains(prec):
                 raise UsageError("precision bound does not divide by p in the group")
-        return self.field.make(out, prec)
+        # dividing by p keeps the order, and a root of a nonzero coefficient
+        # is nonzero
+        return SeriesElt(self.field, tuple(out), prec)
 
     def invert(self, target: GroupElt | None = None) -> "SeriesElt":
         """Multiplicative inverse, truncated so that self * result is
@@ -279,6 +331,17 @@ class SeriesElt:
 
     def __repr__(self):
         return f"SeriesElt({self})"
+
+
+def _exp_key(term):
+    return term[0].parts
+
+
+def _below(terms: tuple, bound: GroupElt | None) -> tuple:
+    """The prefix of sorted terms whose exponents lie below the bound."""
+    if bound is None:
+        return terms
+    return terms[:bisect_left(terms, bound.parts, key=_exp_key)]
 
 
 def artin_schreier_shift(f: SeriesElt, h: SeriesElt) -> SeriesElt:

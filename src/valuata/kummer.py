@@ -618,13 +618,6 @@ class KummerClassification:
         return self.verdict is KummerVerdict.TRIVIAL
 
 
-def kummer_precheck(h: CycloElt) -> bool:
-    """True when the equation alpha**p = h splits for valuation reasons:
-    v(h - 1) beyond m*p forces a p-th root by the Hensel argument."""
-    w = h - h.field.one()
-    return w.valuation_is_above(h.field.threshold)
-
-
 def classify_h(h: CycloElt) -> KummerClassification:
     """Decide the best shape of h, or produce an improvement witness.
 

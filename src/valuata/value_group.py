@@ -9,6 +9,7 @@ of two copies of the rationals.  Elements are plain tuples of
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -159,9 +160,18 @@ def parse_group_elt(text: str) -> GroupElt:
 
 
 def _is_p_power(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
+    """Whether n = p**k for some k >= 0, in a constant number of big-integer
+    operations.  If n = p**k has bit length b, then (b - 1)/log2(p) lies in
+    (k - 1, k], so the first power below is p**(k - 1) or p**k even after
+    float rounding; for any n it is at most two factors of p short of n."""
+    if n < 1:
+        return False
+    if p == 2:
+        return n & (n - 1) == 0
+    q = p ** int((n.bit_length() - 1) / math.log2(p))
+    while q < n:
+        q *= p
+    return q == n
 
 
 @dataclass(frozen=True)

@@ -312,3 +312,26 @@ def test_verify_norm_ideal_count_below_one_exits_one(capsys, count):
     assert code == 1
     assert not out
     assert "--count" in err
+
+
+@pytest.mark.parametrize("command", ["analyze-as", "normalize-as"])
+def test_zero_to_a_positive_bound_is_trivial(capsys, command):
+    code, report, _ = run_json(capsys, command, "X^(30) + O(X^(24))")
+    assert code == 0
+    c = report["classification"]
+    assert c["verdict"] == "trivial"
+    assert c["valuation"] is None
+    assert "24" in c["note"]
+    assert report["invariants"]["type"] == "trivial"
+    if command == "normalize-as":
+        assert report["outcome"] == "trivial"
+        assert report["steps"] == 0
+
+
+@pytest.mark.parametrize("command", ["analyze-as", "normalize-as"])
+@pytest.mark.parametrize("expr", ["X^(5) + O(X^(0))", "X^(5) + O(X^(-2))"])
+def test_zero_to_a_nonpositive_bound_still_exits_one(capsys, command, expr):
+    code, out, err = run(capsys, command, expr)
+    assert code == 1
+    assert not out
+    assert "zero to working precision" in err

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from valuata.errors import UsageError
 from valuata.value_group import (INFINITY, GroupElt, GroupKind, ValueGroup,
-                                 ge, parse_group_elt)
+                                 _is_p_power, ge, parse_group_elt)
 
 fractions = st.fractions(min_value=-10**6, max_value=10**6,
                          max_denominator=10**4)
@@ -107,3 +107,27 @@ def test_scale_then_divide_round_trips(a, n):
 def test_str_parse_round_trip(a, b):
     for v in (ge(a), ge(a, b)):
         assert parse_group_elt(str(v)) == v
+
+
+def _is_p_power_by_division(n, p):
+    while n % p == 0:
+        n //= p
+    return n == 1
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_is_p_power_agrees_with_repeated_division(p):
+    for k in range(601):
+        power = p ** k
+        for n in (power, 2 * power, 3 * power, (p + 1) * power, power + 1,
+                  power - 1, power * p - 1, power * p + 1):
+            if n >= 1:
+                assert _is_p_power(n, p) == _is_p_power_by_division(n, p), (n, p)
+    assert _is_p_power(1, p)
+
+
+@given(st.integers(min_value=1, max_value=10**6), st.integers(0, 600),
+       st.sampled_from([2, 3, 5, 7]))
+def test_is_p_power_of_a_multiple(m, k, p):
+    n = m * p ** k
+    assert _is_p_power(n, p) == (_is_p_power_by_division(m, p))
