@@ -21,6 +21,7 @@ mathematical identity fails.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -170,8 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--p", type=int, help="residue characteristic (checked)")
         p.add_argument("--precision", type=int)
         p.add_argument("--json", dest="json_path")
-        p.add_argument("--seed", type=int,
-                       default=int(os.environ.get("VALUATA_SEED", "0")))
+        p.add_argument("--seed", type=int)
 
     def add_cyclo_flags(p):
         p.add_argument("expr", help="generator expression, e.g. '1 + pi^(2)'")
@@ -180,8 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--with-y", action="store_true")
         p.add_argument("--precision", type=int)
         p.add_argument("--json", dest="json_path")
-        p.add_argument("--seed", type=int,
-                       default=int(os.environ.get("VALUATA_SEED", "0")))
+        p.add_argument("--seed", type=int)
 
     p = sub.add_parser("analyze-as", help="classify an equal-characteristic generator")
     add_series_flags(p)
@@ -215,10 +214,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _env_seed() -> int:
+    """The --seed default, read when a command runs so that a parser
+    built once still follows the environment."""
+    raw = os.environ.get("VALUATA_SEED", "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise UsageError(f"VALUATA_SEED must be an integer, got {raw!r}") from None
+
+
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser of main(), built on its first call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _shared_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", 0) is None:
+            args.seed = _env_seed()
         # a command returns its report body and the field it ran over
         body, spec = args.run(args)
     except _FlagConflict as exc:

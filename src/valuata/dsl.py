@@ -186,6 +186,8 @@ class _Parser:
             kind, den, pos = self.next()
             if kind != "int":
                 raise UsageError(f"expected a denominator at position {pos}")
+            if den == 0:
+                raise UsageError(f"zero denominator at position {pos}")
             return Fraction(sign * num, den)
         return Fraction(sign * num)
 

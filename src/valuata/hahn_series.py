@@ -12,26 +12,89 @@ The distinction between an exact zero and a zero to precision is kept
 explicit: the first has valuation INFINITY, the second raises
 ZeroToPrecisionError because its valuation is simply not known.
 
+Packed layout.  Inside this module an element stores its exponents as
+Python ints over one denominator per element: the packed exponent n stands
+for n/den, and the bound is packed the same way.  den is the least common
+denominator of the exponents and the bound: always 1 over the integers, a
+power of p over Z[1/p], an lcm over the rationals.  lex2 keeps one
+denominator per coordinate and stores pairs of ints, which Python tuples
+compare lexicographically.  Since den is least, equal values have equal
+layouts, so equality and hashing compare the stored fields.  Coefficients
+in GF(q) are the integer codes of ``GF.codes``; GF(p) codes add and multiply
+as plain ints, so a product accumulates unreduced sums and reduces them
+once.  RatFunc coefficients stay RatFuncElt objects behind the same small
+ring interface (``_Ring``: add, neg, mul, inv, frobenius, p-th root).
+Two operands with different denominators are first carried to the lcm; *
+on lex2 packs each pair into one int for the length of one product
+(exponent-vector packing, Monagan & Pearce, CASC 2007).
+
+GroupElt/Fraction and GFElt are the boundary types.  They are converted
+where a value enters (make, and monomial, from_residue and zero_to on top of
+it; the arguments of shift, truncate, scale_residue and invert) or leaves
+(valuation, val_lower_bound, residue_class, the ``terms`` and ``precision``
+views, format_series), once per call; no arithmetic inside the layer builds
+either.  The views are rebuilt on every access.
+
 Value-group membership is checked where a value enters from outside the
-layer: SeriesField.make (and monomial, from_residue, zero_to on top of it)
-checks every exponent and the bound, shift and truncate check their one
-argument, and pth_root asks is_p_divisible of every exponent.  The closed
-operations build their results without asking again, because a group is
-closed under what they do to exponents: sums and differences of members
-(+, -, *, shift), integer multiples (frobenius) and prefixes of a sorted
-list (truncate).  They keep the other invariants by construction as well:
-+ and - merge two sorted lists, * sorts its accumulated products once,
-shift, frobenius and scaling by a nonzero residue map the terms in order
-and keep every coefficient nonzero, and every result is cut at its bound.
+layer: make checks every exponent and the bound, shift and truncate check
+their one argument, and pth_root asks whether every packed numerator
+divides by p (only the integer group can refuse).  The closed operations
+build their results without asking again, because a group is closed under
+what they do to exponents: sums and differences of members (+, -, *,
+shift), integer multiples (frobenius) and prefixes of a sorted list
+(truncate).  They keep the other invariants by construction as well: + and
+- merge two sorted lists, * sorts its accumulated products once, shift,
+frobenius and scaling by a nonzero residue map the terms in order and keep
+every coefficient nonzero, and every result is cut at its bound.
 """
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left
+from collections import namedtuple
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
+from math import gcd, lcm
 
 from .errors import InsufficientPrecisionError, UsageError, ZeroToPrecisionError
-from .value_group import INFINITY, GroupElt, ValueGroup
+from .residue_field import GF, GFElt, RatFunc, RatFuncElt
+from .value_group import INFINITY, GroupElt, GroupKind, ValueGroup
+
+# Coefficient arithmetic inside the layer, and the boundary conversions.
+# prime is p when coefficients are GF(p) codes, which the hot loops add and
+# multiply as plain ints; 0 otherwise.  root returns None when no root
+# exists; pack checks and converts a boundary value, unpack converts back.
+_Ring = namedtuple("_Ring", "prime one add neg mul inv frob root from_int pack unpack")
+
+
+def _ring(k) -> _Ring:
+    if isinstance(k, GF):
+        p, q = k.p, k.q
+        add, neg, mul, inv, power = k.codes
+        if k.m == 1:
+            code, unpack = lambda c: c.coeffs[0], lambda n: GFElt(k, (n,))
+        else:
+            code, unpack = k.code, k.from_code
+
+        def pack(c):
+            if not isinstance(c, GFElt) or (c.field is not k and c.field != k):
+                raise UsageError("coefficient from a different residue field")
+            return code(c)
+
+        return _Ring(p if k.m == 1 else 0, 1, add, neg, mul, inv,
+                     lambda a: power(a, p), lambda a: power(a, q // p),
+                     lambda n: n % p, pack, unpack)
+    if isinstance(k, RatFunc):
+        def pack(c):
+            if not isinstance(c, RatFuncElt) or (c.field is not k and c.field != k):
+                raise UsageError("coefficient from a different residue field")
+            return c
+
+        return _Ring(0, k.one(), operator.add, operator.neg, operator.mul, k.inv,
+                     k.frobenius, k.pth_root, k.from_int, pack, lambda c: c)
+    raise UsageError(f"no series arithmetic over {type(k).__name__}")
 
 
 @dataclass(frozen=True)
@@ -54,72 +117,122 @@ class SeriesField:
     def p(self) -> int:
         return self.residue.p
 
+    @cached_property
+    def ring(self) -> _Ring:
+        return _ring(self.residue)
+
+    @cached_property
+    def _unit(self):
+        """The denominator of an element with integer exponents."""
+        return (1, 1) if self.group.rank == 2 else 1
+
+    @cached_property
+    def _zero(self) -> "SeriesElt":
+        return SeriesElt(self, (), (), self._unit, None)
+
+    def _constant(self, c) -> "SeriesElt":
+        """The monomial c * X^0 for a nonzero packed coefficient c."""
+        unit = self._unit
+        return SeriesElt(self, (0 if unit == 1 else (0, 0),), (c,), unit, None)
+
     def make(self, terms, precision) -> "SeriesElt":
         """Validating constructor: check every exponent and the bound, then
-        merge, sort, drop zeros and invisible terms."""
-        merged = {}
+        pack, merge, sort, drop zeros and invisible terms."""
+        check = self.group.check_member
+        pack = self.ring.pack
+        values, coeffs = [], []
         for exp, coeff in terms:
-            self.group.check_member(exp)
-            if exp in merged:
-                merged[exp] = merged[exp] + coeff
-            else:
-                merged[exp] = coeff
+            check(exp)
+            values.append(exp.parts)
+            coeffs.append(pack(coeff))
         if precision is not None:
-            self.group.check_member(precision)
-        return self._from_distinct(merged.items(), precision)
-
-    def _from_distinct(self, pairs, precision) -> "SeriesElt":
-        """Internal builder for (exponent, coefficient) pairs whose exponents
-        are distinct members of the group, in any order: sort once, drop
-        zero coefficients and the terms at or beyond the bound."""
-        if precision is None:
-            kept = [t for t in pairs if t[1]]
-        else:
-            bound = precision.parts
-            kept = [t for t in pairs if t[1] and t[0].parts < bound]
-        kept.sort(key=_exp_key)
-        return SeriesElt(self, tuple(kept), precision)
+            check(precision)
+            values.append(precision.parts)
+        nums, den = _numerators(values, self.group.rank)
+        bound = nums.pop() if precision is not None else None
+        add = self.ring.add
+        merged = {}
+        for e, c in zip(nums, coeffs):
+            merged[e] = add(merged[e], c) if e in merged else c
+        exps = sorted([e for e, c in merged.items()
+                       if c and (bound is None or e < bound)])
+        return _canonical(self, exps, [merged[e] for e in exps], den, bound)
 
     def zero(self) -> "SeriesElt":
-        return SeriesElt(self, (), None)
+        return self._zero
 
     def zero_to(self, precision: GroupElt) -> "SeriesElt":
         return self.make((), precision)
 
     def one(self) -> "SeriesElt":
-        return self.from_int(1)
+        return self._constant(self.ring.one)
 
     def from_int(self, n: int) -> "SeriesElt":
-        return self.from_residue(self.residue.from_int(n))
+        c = self.ring.from_int(n)
+        return self._constant(c) if c else self._zero
 
     def from_residue(self, c) -> "SeriesElt":
         """Monomial at exponent zero: the canonical lift of a residue."""
         return self.make([(self.group.zero(), c)], None)
 
     def monomial(self, coeff, exp: GroupElt, precision: GroupElt | None = None) -> "SeriesElt":
-        return self.make([(exp, coeff)], precision)
+        if precision is not None:
+            return self.make([(exp, coeff)], precision)
+        self.group.check_member(exp)
+        c = self.ring.pack(coeff)
+        if not c:
+            return self._zero
+        n, den = _packed(exp)
+        return SeriesElt(self, (n,), (c,), den, None)
 
 
-@dataclass(frozen=True)
 class SeriesElt:
-    """See the module docstring; build through SeriesField.make, which
-    checks its input, while the arithmetic below builds its results
-    directly."""
+    """See the module docstring.  Build through SeriesField.make and the
+    constructors on top of it, which check their input; the arithmetic below
+    builds its results directly.  Instances are never mutated."""
 
-    field: SeriesField
-    terms: tuple
-    precision: GroupElt | None
+    __slots__ = ("field", "_exps", "_coeffs", "_den", "_bound")
+
+    def __init__(self, field: SeriesField, exps: tuple, coeffs: tuple, den, bound):
+        self.field = field
+        self._exps = exps
+        self._coeffs = coeffs
+        self._den = den
+        self._bound = bound
+
+    def __eq__(self, other):
+        if not isinstance(other, SeriesElt):
+            return NotImplemented
+        return (self._exps == other._exps and self._coeffs == other._coeffs
+                and self._den == other._den and self._bound == other._bound
+                and (self.field is other.field or self.field == other.field))
+
+    def __hash__(self):
+        return hash((self._exps, self._coeffs, self._den, self._bound))
+
+    # -- the boundary views -----------------------------------------------------
+
+    @property
+    def terms(self) -> tuple:
+        """(GroupElt, coefficient) pairs in increasing exponent order."""
+        den = self._den
+        unpack = self.field.ring.unpack
+        return tuple([(_value(e, den), unpack(c)) for e, c in zip(self._exps, self._coeffs)])
+
+    @property
+    def precision(self) -> GroupElt | None:
+        return None if self._bound is None else _value(self._bound, self._den)
 
     # -- basic queries -----------------------------------------------------
 
     def is_exact(self) -> bool:
-        return self.precision is None
+        return self._bound is None
 
     def is_exact_zero(self) -> bool:
-        return not self.terms and self.precision is None
+        return not self._exps and self._bound is None
 
     def has_terms(self) -> bool:
-        return bool(self.terms)
+        return bool(self._exps)
 
     def valuation(self):
         """Least exponent; INFINITY for an exact zero.
@@ -127,162 +240,238 @@ class SeriesElt:
         Raises ZeroToPrecisionError when no term is visible but the element
         is only known up to its precision bound.
         """
-        if self.terms:
-            return self.terms[0][0]
-        if self.precision is None:
+        if self._exps:
+            return _value(self._exps[0], self._den)
+        if self._bound is None:
             return INFINITY
         raise ZeroToPrecisionError(bound=self.precision)
 
     def val_lower_bound(self) -> GroupElt:
         """A certified lower bound for the valuation; requires a finite answer."""
-        if self.terms:
-            return self.terms[0][0]
-        if self.precision is not None:
+        if self._exps:
+            return _value(self._exps[0], self._den)
+        if self._bound is not None:
             return self.precision
         raise UsageError("exact zero has no finite valuation bound")
-
-    def leading_coeff(self):
-        if not self.terms:
-            raise ZeroToPrecisionError(bound=self.precision)
-        return self.terms[0][1]
 
     # -- ring structure ----------------------------------------------------
 
     def _check(self, other):
         if not isinstance(other, SeriesElt):
             raise TypeError(f"cannot combine SeriesElt with {type(other).__name__}")
-        if other.field != self.field:
+        if other.field is not self.field and other.field != self.field:
             raise UsageError("elements of different series fields")
 
     def __add__(self, other):
         self._check(other)
-        if self.precision is None:
-            prec = other.precision
-        elif other.precision is None:
-            prec = self.precision
-        else:
-            prec = min(self.precision, other.precision)
-        # a linear merge of the two sorted term lists, each cut at the bound
-        a = _below(self.terms, prec)
-        b = _below(other.terms, prec)
-        out = []
+        if not other._exps and other._bound is None:
+            return self
+        if not self._exps and self._bound is None:
+            return other
+        den, ae, ab, be, bb = _common(self, other)
+        ac, bc = self._coeffs, other._coeffs
+        bound = ab if bb is None else bb if ab is None else min(ab, bb)
+        if bound is not None:
+            # each operand cut at the bound
+            i = bisect_left(ae, bound)
+            j = bisect_left(be, bound)
+            ae, ac, be, bc = ae[:i], ac[:i], be[:j], bc[:j]
+        add = self.field.ring.add
+        exps, coeffs = [], []
         i = j = 0
-        while i < len(a) and j < len(b):
-            ka = a[i][0].parts
-            kb = b[j][0].parts
-            if ka < kb:
-                out.append(a[i])
+        na, nb = len(ae), len(be)
+        while i < na and j < nb:
+            x = ae[i]
+            y = be[j]
+            if x < y:
+                exps.append(x)
+                coeffs.append(ac[i])
                 i += 1
-            elif kb < ka:
-                out.append(b[j])
+            elif y < x:
+                exps.append(y)
+                coeffs.append(bc[j])
                 j += 1
             else:
-                c = a[i][1] + b[j][1]
+                c = add(ac[i], bc[j])
                 if c:
-                    out.append((a[i][0], c))
+                    exps.append(x)
+                    coeffs.append(c)
                 i += 1
                 j += 1
-        out += a[i:]
-        out += b[j:]
-        return SeriesElt(self.field, tuple(out), prec)
+        exps += ae[i:]
+        coeffs += ac[i:]
+        exps += be[j:]
+        coeffs += bc[j:]
+        return _canonical(self.field, exps, coeffs, den, bound)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return SeriesElt(self.field, tuple([(e, -c) for e, c in self.terms]), self.precision)
+        field = self.field
+        if field.p == 2:
+            return self
+        ring = field.ring
+        p = ring.prime
+        if p:
+            coeffs = tuple([p - c for c in self._coeffs])
+        else:
+            neg = ring.neg
+            coeffs = tuple([neg(c) for c in self._coeffs])
+        return SeriesElt(field, self._exps, coeffs, self._den, self._bound)
 
     def __mul__(self, other):
         self._check(other)
-        if self.is_exact_zero() or other.is_exact_zero():
-            return self.field.zero()
-        cands = []
-        if self.precision is not None:
-            cands.append(self.precision + other.val_lower_bound())
-        if other.precision is not None:
-            cands.append(other.precision + self.val_lower_bound())
-        prec = min(cands) if cands else None
-        out = {}
-        for e1, c1 in self.terms:
-            # terms are sorted and the order respects addition, so the
-            # products for this e1 only grow: the first one past the bound
-            # ends the row
-            for e2, c2 in other.terms:
-                e = e1 + e2
-                if prec is not None and not e < prec:
-                    break
-                out[e] = out[e] + c1 * c2 if e in out else c1 * c2
-        return self.field._from_distinct(out.items(), prec)
+        field = self.field
+        if (not self._exps and self._bound is None
+                or not other._exps and other._bound is None):
+            return field._zero
+        den, ae, ab, be, bb = _common(self, other)
+        # the bound: each operand's bound plus the other's least exponent
+        bound = None
+        if ab is not None:
+            bound = _plus(ab, be[0] if be else bb)
+        if bb is not None:
+            cand = _plus(bb, ae[0] if ae else ab)
+            bound = cand if bound is None or cand < bound else bound
+        if not ae or not be:
+            exps, coeffs = (), ()
+        elif type(den) is int:
+            exps, coeffs = _products(ae, self._coeffs, be, other._coeffs, bound, field.ring)
+        else:
+            exps, coeffs = _pair_products(ae, self._coeffs, be, other._coeffs, bound,
+                                          field.ring)
+        return _canonical(field, exps, coeffs, den, bound)
+
+    def _scaled(self, c) -> "SeriesElt":
+        """Multiply by a packed residue constant; precision is unchanged."""
+        field = self.field
+        if not c:
+            return _canonical(field, (), (), self._den, self._bound)
+        ring = field.ring
+        p = ring.prime
+        if p:
+            if c == 1:
+                return self
+            coeffs = tuple([x * c % p for x in self._coeffs])
+        else:
+            mul = ring.mul
+            coeffs = tuple([mul(x, c) for x in self._coeffs])
+        return SeriesElt(field, self._exps, coeffs, self._den, self._bound)
 
     def scale_residue(self, c) -> "SeriesElt":
         """Multiply by a residue constant; precision is unchanged."""
-        if not c:
-            return SeriesElt(self.field, (), self.precision)
-        return SeriesElt(self.field, tuple([(e, coeff * c) for e, coeff in self.terms]),
-                         self.precision)
+        return self._scaled(self.field.ring.pack(c))
 
     def scale_int(self, n: int) -> "SeriesElt":
-        return self.scale_residue(self.field.residue.from_int(n))
+        return self._scaled(self.field.ring.from_int(n))
 
     def shift(self, exp: GroupElt) -> "SeriesElt":
         """Multiply by the monomial X^exp; exact on terms and bound alike."""
         self.field.group.check_member(exp)
-        prec = None if self.precision is None else self.precision + exp
-        return SeriesElt(self.field, tuple([(e + exp, c) for e, c in self.terms]), prec)
+        return self._shifted(*_packed(exp))
+
+    def _shifted(self, n, d) -> "SeriesElt":
+        """Shift by the packed exponent n/d."""
+        den, ks, kn = _to_common(self._den, d)
+        exps, bound = _affine(self._exps, self._bound, ks, _times(n, kn))
+        return _canonical(self.field, exps, self._coeffs, den, bound)
 
     def truncate(self, precision: GroupElt) -> "SeriesElt":
         self.field.group.check_member(precision)
-        prec = precision if self.precision is None else min(precision, self.precision)
-        return SeriesElt(self.field, _below(self.terms, prec), prec)
+        return self._cut(*_packed(precision))
+
+    def _cut(self, n, d) -> "SeriesElt":
+        """Truncate at the packed bound n/d (or at the own bound if lower)."""
+        den, ks, kn = _to_common(self._den, d)
+        exps, bound = _affine(self._exps, self._bound, ks)
+        n = _times(n, kn)
+        if bound is not None and bound < n:
+            n = bound
+        i = bisect_left(exps, n)
+        return _canonical(self.field, exps[:i], self._coeffs[:i], den, n)
 
     # -- the operations the theory needs ------------------------------------
 
     def residue_class(self):
         """Image in the residue field; defined when the valuation is >= 0."""
-        if self.terms and self.terms[0][0] < self.field.group.zero():
+        field = self.field
+        zero = 0 if type(self._den) is int else (0, 0)
+        exps = self._exps
+        if exps and exps[0] < zero:
             raise UsageError("negative valuation has no residue")
-        zero = self.field.group.zero()
-        for e, c in self.terms:
-            if e == zero:
-                return c
-        if self.precision is not None and not zero < self.precision:
+        # with every exponent >= 0, a constant term comes first
+        if exps and exps[0] == zero:
+            return field.ring.unpack(self._coeffs[0])
+        if self._bound is not None and not zero < self._bound:
             raise InsufficientPrecisionError(
                 "precision bound is not positive; the residue is hidden")
-        return self.field.residue.zero()
+        return field.residue.zero()
 
     def frobenius(self) -> "SeriesElt":
         """The p-th power.  Additive in characteristic p, so exact on terms,
         and an O(pi) error tail maps to O(pi * p)."""
-        p = self.field.p
-        k = self.field.residue
-        prec = None if self.precision is None else self.precision.scale(p)
-        return SeriesElt(self.field,
-                         tuple([(e.scale(p), k.frobenius(c)) for e, c in self.terms]),
-                         prec)
+        field = self.field
+        p = field.p
+        ring = field.ring
+        coeffs = self._coeffs if ring.prime else tuple([ring.frob(c) for c in self._coeffs])
+        # p*n/den: where p divides den, divide den (it stays least) and keep
+        # the numerators; elsewhere multiply the numerators
+        den = self._den
+        if type(den) is int:
+            if den % p == 0:
+                return SeriesElt(field, self._exps, coeffs, den // p, self._bound)
+            exps, bound = _affine(self._exps, self._bound, p)
+            return SeriesElt(field, exps, coeffs, den, bound)
+        k = tuple([1 if d % p == 0 else p for d in den])
+        exps, bound = _affine(self._exps, self._bound, k)
+        den = tuple([d // p if d % p == 0 else d for d in den])
+        return SeriesElt(field, exps, coeffs, den, bound)
 
     def pth_root(self) -> "SeriesElt":
         """Inverse of frobenius where it exists; exponents and the bound
         divide by p, coefficients take residue-field roots."""
-        group = self.field.group
-        k = self.field.residue
-        p = self.field.p
-        out = []
-        for e, c in self.terms:
-            half = group.is_p_divisible(e)
-            if half is None:
-                raise UsageError(f"exponent {e} is not divisible by p in the group")
-            root = k.pth_root(c)
-            if root is None:
+        field = self.field
+        p = field.p
+        ring = field.ring
+        exps, bound, den = self._exps, self._bound, self._den
+        # n/(p*den): divide the numerators where p divides all of them (den
+        # stays least), else multiply den, which only the integers refuse
+        if type(den) is int:
+            if all(e % p == 0 for e in exps) and (bound is None or bound % p == 0):
+                exps, bound = _affine(exps, bound, 1, 0, p)
+            elif field.group.kind is GroupKind.INT:
+                self._refuse_root()
+            else:
+                den *= p
+        else:
+            k, div = [1, 1], [1, 1]
+            for i in (0, 1):
+                if all(e[i] % p == 0 for e in exps) and (bound is None or bound[i] % p == 0):
+                    div[i] = p
+                else:
+                    k[i] = p
+            exps, bound = _affine(exps, bound, (1, 1), (0, 0), tuple(div))
+            den = (den[0] * k[0], den[1] * k[1])
+        coeffs = self._coeffs
+        if not ring.prime:
+            coeffs = tuple([ring.root(c) for c in coeffs])
+            if None in coeffs:
                 raise UsageError("coefficient is not a p-th power in the residue field")
-            out.append((half, root))
-        prec = None
-        if self.precision is not None:
-            prec = self.precision.divide(p)
-            if not group.contains(prec):
-                raise UsageError("precision bound does not divide by p in the group")
         # dividing by p keeps the order, and a root of a nonzero coefficient
         # is nonzero
-        return SeriesElt(self.field, tuple(out), prec)
+        return SeriesElt(field, exps, coeffs, den, bound)
+
+    def _refuse_root(self):
+        """Raise the error pth_root meets first over the integers."""
+        p = self.field.p
+        root = self.field.ring.root
+        for e, c in zip(self._exps, self._coeffs):
+            if e % p:
+                raise UsageError(f"exponent {e} is not divisible by p in the group")
+            if root(c) is None:
+                raise UsageError("coefficient is not a p-th power in the residue field")
+        raise UsageError("precision bound does not divide by p in the group")
 
     def invert(self, target: GroupElt | None = None) -> "SeriesElt":
         """Multiplicative inverse, truncated so that self * result is
@@ -297,32 +486,39 @@ class SeriesElt:
         field = self.field
         if target is None:
             target = field.default_precision
-        lead = self.terms[0][1]
-        lead_inv = field.residue.inv(lead)
+        else:
+            field.group.check_member(target)
+        ring = field.ring
+        den = self._den
+        lead = self._exps[0]
+        back = _times(lead, -1)
+        lead_inv = ring.inv(self._coeffs[0])
         # unit = 1 + tail with v(tail) > 0
-        unit = self.shift(-v).scale_residue(lead_inv)
+        unit = self._shifted(back, den)._scaled(lead_inv)
         tail = unit - field.one()
         if tail.is_exact_zero():
-            return field.monomial(lead_inv, -v,
-                                  None if self.precision is None
-                                  else self.precision - v - v)
-        for e, _ in tail.terms:
-            # a positive exponent with leading coordinate 0 is infinitesimal
-            # against the primary bound: the geometric series then has
-            # infinitely many terms below any usable truncation level
-            if e.parts[0] == 0:
-                raise InsufficientPrecisionError(
-                    "inverse support is infinite below the precision bound")
-        rel = target
-        if self.precision is not None:
-            rel = min(rel, self.precision - v)
-        acc = field.one().truncate(rel)
+            bound = None if self._bound is None else _plus(self._bound, _times(lead, -2))
+            return _canonical(field, (back,), (lead_inv,), den, bound)
+        if type(den) is not int:
+            for e in tail._exps:
+                # a positive exponent with leading coordinate 0 is
+                # infinitesimal against the primary bound: the geometric
+                # series then has infinitely many terms below any usable
+                # truncation level
+                if e[0] == 0:
+                    raise InsufficientPrecisionError(
+                        "inverse support is infinite below the precision bound")
+        rel = field.one()._cut(*_packed(target))
+        if self._bound is not None:
+            rel = rel._cut(_plus(self._bound, back), den)
+        rel_bound = rel._bound, rel._den
+        acc = rel
         power = acc
         minus_tail = -tail
         while power.has_terms():
-            power = (power * minus_tail).truncate(rel)
+            power = (power * minus_tail)._cut(*rel_bound)
             acc = acc + power
-        return acc.shift(-v).scale_residue(lead_inv)
+        return acc._shifted(back, den)._scaled(lead_inv)
 
     # -- conveniences --------------------------------------------------------
 
@@ -333,15 +529,162 @@ class SeriesElt:
         return f"SeriesElt({self})"
 
 
-def _exp_key(term):
-    return term[0].parts
+# -- packed exponents: an int over an int denominator, or a pair over a pair ----
 
 
-def _below(terms: tuple, bound: GroupElt | None) -> tuple:
-    """The prefix of sorted terms whose exponents lie below the bound."""
-    if bound is None:
-        return terms
-    return terms[:bisect_left(terms, bound.parts, key=_exp_key)]
+def _numerators(values, rank: int):
+    """Numerators of a list of GroupElt parts over their least common
+    denominator, and that denominator."""
+    if rank == 1:
+        den = lcm(*[f.denominator for (f,) in values])
+        return [f.numerator * (den // f.denominator) for (f,) in values], den
+    d0 = lcm(*[a.denominator for a, _ in values])
+    d1 = lcm(*[b.denominator for _, b in values])
+    return [(a.numerator * (d0 // a.denominator), b.numerator * (d1 // b.denominator))
+            for a, b in values], (d0, d1)
+
+
+def _packed(g: GroupElt):
+    """One value as (numerator, least denominator)."""
+    if len(g.parts) == 1:
+        f = g.parts[0]
+        return f.numerator, f.denominator
+    a, b = g.parts
+    return (a.numerator, b.numerator), (a.denominator, b.denominator)
+
+
+def _value(n, den) -> GroupElt:
+    if den == 1:
+        return GroupElt((Fraction(n),))
+    if type(den) is int:
+        return GroupElt((Fraction(n, den),))
+    return GroupElt((Fraction(n[0], den[0]), Fraction(n[1], den[1])))
+
+
+def _plus(x, y):
+    if type(x) is int:
+        return x + y
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def _times(x, k):
+    """x times k: an int, or coordinatewise for pairs (k an int or a pair)."""
+    if type(x) is int:
+        return x * k
+    if type(k) is int:
+        return (x[0] * k, x[1] * k)
+    return (x[0] * k[0], x[1] * k[1])
+
+
+def _to_common(da, db):
+    """The least common denominator d of da and db, and d/da, d/db."""
+    if type(da) is int:
+        d = lcm(da, db)
+        return d, d // da, d // db
+    d = (lcm(da[0], db[0]), lcm(da[1], db[1]))
+    return d, (d[0] // da[0], d[1] // da[1]), (d[0] // db[0], d[1] // db[1])
+
+
+def _affine(exps, bound, k, n=None, q=1):
+    """Every packed exponent e, and the bound, mapped to (e*k + n) // q,
+    coordinatewise for pairs; q must divide every e*k + n."""
+    if type(k) is int:
+        n = n or 0
+        if k == 1 and n == 0 and q == 1:
+            return exps, bound
+        return (tuple([(e * k + n) // q for e in exps]),
+                None if bound is None else (bound * k + n) // q)
+    (k0, k1), (n0, n1) = k, n or (0, 0)
+    (q0, q1) = (q, q) if type(q) is int else q
+    if k0 == k1 == q0 == q1 == 1 and n0 == n1 == 0:
+        return exps, bound
+    return (tuple([((a * k0 + n0) // q0, (b * k1 + n1) // q1) for a, b in exps]),
+            None if bound is None
+            else ((bound[0] * k0 + n0) // q0, (bound[1] * k1 + n1) // q1))
+
+
+def _common(a: SeriesElt, b: SeriesElt):
+    """Both operands' exponents and bounds over their common denominator."""
+    da, db = a._den, b._den
+    if da == db:
+        return da, a._exps, a._bound, b._exps, b._bound
+    d, ka, kb = _to_common(da, db)
+    ae, ab = _affine(a._exps, a._bound, ka)
+    be, bb = _affine(b._exps, b._bound, kb)
+    return d, ae, ab, be, bb
+
+
+def _canonical(field, exps, coeffs, den, bound) -> SeriesElt:
+    """The element with the least denominator, from sorted exponents and
+    nonzero coefficients over den."""
+    if type(den) is int:
+        if den != 1:
+            g = gcd(den, *exps) if bound is None else gcd(den, bound, *exps)
+            if g != 1:
+                exps, bound = _affine(exps, bound, 1, 0, g)
+                den //= g
+    elif den != (1, 1):
+        g0 = gcd(den[0], *[a for a, _ in exps])
+        g1 = gcd(den[1], *[b for _, b in exps])
+        if bound is not None:
+            g0 = gcd(g0, bound[0])
+            g1 = gcd(g1, bound[1])
+        if g0 != 1 or g1 != 1:
+            exps, bound = _affine(exps, bound, (1, 1), (0, 0), (g0, g1))
+            den = (den[0] // g0, den[1] // g1)
+    return SeriesElt(field, tuple(exps), tuple(coeffs), den, bound)
+
+
+# -- the product kernel ----------------------------------------------------------
+
+
+def _products(ae, ac, be, bc, bound, ring):
+    """Sorted exponents and nonzero coefficients of the product of two
+    nonempty packed term lists with int exponents, cut at the bound."""
+    # terms are sorted and the order respects addition, so the products of
+    # one row only grow: the first one past the cut ends the row
+    cut = ae[-1] + be[-1] + 1 if bound is None else bound
+    out = {}
+    p = ring.prime
+    if p:
+        get = out.get
+        for e1, c1 in zip(ae, ac):
+            for e2, c2 in zip(be, bc):
+                e = e1 + e2
+                if e >= cut:
+                    break
+                out[e] = get(e, 0) + c1 * c2
+        exps = sorted([e for e, c in out.items() if c % p])
+        return exps, [out[e] % p for e in exps]
+    add, mul = ring.add, ring.mul
+    for e1, c1 in zip(ae, ac):
+        for e2, c2 in zip(be, bc):
+            e = e1 + e2
+            if e >= cut:
+                break
+            c = mul(c1, c2)
+            out[e] = add(out[e], c) if e in out else c
+    exps = sorted([e for e, c in out.items() if c])
+    return exps, [out[e] for e in exps]
+
+
+def _pair_products(ae, ac, be, bc, bound, ring):
+    """_products for pair exponents: within one product each pair (x, y)
+    packs into the int x*w + (y - low), with w wider than every sum of
+    second coordinates; int order is then lexicographic order."""
+    la = min([y for _, y in ae])
+    lb = min([y for _, y in be])
+    w = max([y for _, y in ae]) - la + max([y for _, y in be]) - lb + 1
+    ka = [x * w + y - la for x, y in ae]
+    kb = [x * w + y - lb for x, y in be]
+    cut = None
+    if bound is not None:
+        # a second coordinate below every sum adds nothing to the first;
+        # one above every sum admits the whole row of the first
+        cut = bound[0] * w + min(max(bound[1] - la - lb, 0), w)
+    codes, coeffs = _products(ka, ac, kb, bc, cut, ring)
+    low = la + lb
+    return [(x, y + low) for x, y in [divmod(e, w) for e in codes]], coeffs
 
 
 def artin_schreier_shift(f: SeriesElt, h: SeriesElt) -> SeriesElt:

@@ -62,11 +62,6 @@ class CycloField:
         return self.m * (self.p - 1)
 
     @property
-    def e_prime(self) -> int:
-        """v(zeta_p - 1) = v(p)/(p-1) = m."""
-        return self.m
-
-    @property
     def threshold(self) -> int:
         """v(z**p) = m*p; beyond it the Kummer equation splits."""
         return self.m * self.p

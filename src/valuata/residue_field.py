@@ -14,7 +14,10 @@ code c0 + c1*p + ..., so 0 and 1 are codes 0 and 1 (``GF.code`` and
 ``GF.from_code`` convert).  Prime-field codes use plain ``% p``; for m > 1
 the field builds on first use antilog, log and Zech (n -> log(1 + g**n))
 tables of a primitive element g, each of size about q (von zur Gathen &
-Gerhard, *Modern Computer Algebra*, ch. 2-3).
+Gerhard, *Modern Computer Algebra*, ch. 2-3).  The series layer
+(``hahn_series``) stores its GF(q) coefficients as the same codes and
+computes with ``GF.codes``; a GFElt is built only where a coefficient
+leaves that layer.
 
 Beyond the ring operations each field decides, exactly:
 

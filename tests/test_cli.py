@@ -186,6 +186,34 @@ def test_seed_env_default(capsys, monkeypatch):
     assert report["seed"] == 7
 
 
+def test_seed_env_is_read_on_every_call(capsys, monkeypatch):
+    """main() keeps one parser across calls; the --seed default still
+    follows VALUATA_SEED at each call."""
+    argv = ("verify-norm-ideal", "X^(-1)", "--field", "gf2-half-powers", "--count", "3")
+    by_flag = {}
+    for seed in ("3", "11"):
+        code, out, _ = run(capsys, *argv, "--seed", seed)
+        assert code == 0
+        by_flag[seed] = out
+    assert by_flag["3"] != by_flag["11"]
+    for seed in ("3", "11"):
+        monkeypatch.setenv("VALUATA_SEED", seed)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == by_flag[seed]
+
+
+def test_malformed_seed_env_exits_one(capsys, monkeypatch):
+    monkeypatch.setenv("VALUATA_SEED", "abc")
+    code, out, err = run(capsys, "analyze-as", "X^(-1)")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: VALUATA_SEED")
+    # an explicit --seed needs no environment
+    code, _, _ = run(capsys, "verify-norm-ideal", "X^(-3)", "--count", "2", "--seed", "5")
+    assert code == 0
+
+
 # -- failure modes ---------------------------------------------------------------
 
 

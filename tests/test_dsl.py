@@ -57,6 +57,14 @@ def test_fractional_exponents_respect_the_group(gf2_half, gf2_laurent):
         parse_expr("X^(1/3)", gf2_half)
 
 
+def test_zero_denominator_is_named():
+    field = _preset("gf2-rationals")
+    with pytest.raises(UsageError, match="zero denominator at position 5"):
+        parse_expr("X^(1/0)", field)
+    with pytest.raises(UsageError, match="zero denominator at position 12"):
+        parse_expr("X^((1/2, -1/0))", _preset("gf2-lex2"))
+
+
 def test_rank_two_exponents(gf2_lex2):
     e = parse_expr("X^((-1, 0)) + X^((1/2, -3))", gf2_lex2)
     assert format_elt(e) == "X^((-1, 0)) + X^((1/2, -3))"
