@@ -317,6 +317,16 @@ def test_rank_two_product_cuts_a_bound_above_every_second_coordinate():
     assert str(a * c) == "X^((0, -3)) + O(X^((1, 2)))"
 
 
+def test_coefficients_from_another_residue_field_are_refused():
+    gf4 = FIELDS["rat-gf4"]
+    with pytest.raises(UsageError, match="different residue field"):
+        gf4.monomial(GF2.one(), ge(1))
+    with pytest.raises(UsageError, match="different residue field"):
+        gf4.one().scale_residue(GF3.one())
+    with pytest.raises(UsageError, match="different residue field"):
+        FIELDS["int-gf2y"].make([(ge(0), GF2.one())], None)
+
+
 # -- deterministic work guard ---------------------------------------------------------
 
 
