@@ -24,9 +24,7 @@ in GF(q) are the integer codes of ``GF.codes``; GF(p) codes add and multiply
 as plain ints, so a product accumulates unreduced sums and reduces them
 once.  RatFunc coefficients stay RatFuncElt objects behind the same small
 ring interface (``_Ring``: add, neg, mul, inv, frobenius, p-th root).
-Two operands with different denominators are first carried to the lcm; *
-on lex2 packs each pair into one int for the length of one product
-(exponent-vector packing, Monagan & Pearce, CASC 2007).
+Two operands with different denominators are first carried to the lcm.
 
 GroupElt/Fraction and GFElt are the boundary types.  They are converted
 where a value enters (make, and monomial, from_residue and zero_to on top of
@@ -63,8 +61,8 @@ from .residue_field import GF, GFElt, RatFunc, RatFuncElt
 from .value_group import INFINITY, GroupElt, GroupKind, ValueGroup
 
 # Coefficient arithmetic inside the layer, and the boundary conversions.
-# prime is p when coefficients are GF(p) codes, which the hot loops add and
-# multiply as plain ints; 0 otherwise.  root returns None when no root
+# prime is p when coefficients are GF(p) codes, which the product kernel adds
+# and multiplies as plain ints; 0 otherwise.  root returns None when no root
 # exists; pack checks and converts a boundary value, unpack converts back.
 _Ring = namedtuple("_Ring", "prime one add neg mul inv frob root from_int pack unpack")
 
@@ -74,17 +72,19 @@ def _ring(k) -> _Ring:
         p, q = k.p, k.q
         add, neg, mul, inv, power = k.codes
         if k.m == 1:
+            # every element of GF(p) is its own p-th power
             code, unpack = lambda c: c.coeffs[0], lambda n: GFElt(k, (n,))
+            frob = root = lambda a: a
         else:
             code, unpack = k.code, k.from_code
+            frob, root = (lambda a: power(a, p)), (lambda a: power(a, q // p))
 
         def pack(c):
             if not isinstance(c, GFElt) or (c.field is not k and c.field != k):
                 raise UsageError("coefficient from a different residue field")
             return code(c)
 
-        return _Ring(p if k.m == 1 else 0, 1, add, neg, mul, inv,
-                     lambda a: power(a, p), lambda a: power(a, q // p),
+        return _Ring(p if k.m == 1 else 0, 1, add, neg, mul, inv, frob, root,
                      lambda n: n % p, pack, unpack)
     if isinstance(k, RatFunc):
         def pack(c):
@@ -176,14 +176,7 @@ class SeriesField:
         return self.make([(self.group.zero(), c)], None)
 
     def monomial(self, coeff, exp: GroupElt, precision: GroupElt | None = None) -> "SeriesElt":
-        if precision is not None:
-            return self.make([(exp, coeff)], precision)
-        self.group.check_member(exp)
-        c = self.ring.pack(coeff)
-        if not c:
-            return self._zero
-        n, den = _packed(exp)
-        return SeriesElt(self, (n,), (c,), den, None)
+        return self.make([(exp, coeff)], precision)
 
 
 class SeriesElt:
@@ -308,17 +301,9 @@ class SeriesElt:
         return self + (-other)
 
     def __neg__(self):
-        field = self.field
-        if field.p == 2:
-            return self
-        ring = field.ring
-        p = ring.prime
-        if p:
-            coeffs = tuple([p - c for c in self._coeffs])
-        else:
-            neg = ring.neg
-            coeffs = tuple([neg(c) for c in self._coeffs])
-        return SeriesElt(field, self._exps, coeffs, self._den, self._bound)
+        neg = self.field.ring.neg
+        coeffs = tuple([neg(c) for c in self._coeffs])
+        return SeriesElt(self.field, self._exps, coeffs, self._den, self._bound)
 
     def __mul__(self, other):
         self._check(other)
@@ -348,15 +333,8 @@ class SeriesElt:
         field = self.field
         if not c:
             return _canonical(field, (), (), self._den, self._bound)
-        ring = field.ring
-        p = ring.prime
-        if p:
-            if c == 1:
-                return self
-            coeffs = tuple([x * c % p for x in self._coeffs])
-        else:
-            mul = ring.mul
-            coeffs = tuple([mul(x, c) for x in self._coeffs])
+        mul = field.ring.mul
+        coeffs = tuple([mul(x, c) for x in self._coeffs])
         return SeriesElt(field, self._exps, coeffs, self._den, self._bound)
 
     def scale_residue(self, c) -> "SeriesElt":
@@ -413,8 +391,8 @@ class SeriesElt:
         and an O(pi) error tail maps to O(pi * p)."""
         field = self.field
         p = field.p
-        ring = field.ring
-        coeffs = self._coeffs if ring.prime else tuple([ring.frob(c) for c in self._coeffs])
+        frob = field.ring.frob
+        coeffs = tuple([frob(c) for c in self._coeffs])
         # p*n/den: where p divides den, divide den (it stays least) and keep
         # the numerators; elsewhere multiply the numerators
         den = self._den
@@ -433,15 +411,26 @@ class SeriesElt:
         divide by p, coefficients take residue-field roots."""
         field = self.field
         p = field.p
-        ring = field.ring
+        root = field.ring.root
         exps, bound, den = self._exps, self._bound, self._den
+        # only the integers refuse an exponent (den is 1 there); the first
+        # failure in term order is the one reported
+        integers = field.group.kind is GroupKind.INT
+        coeffs = []
+        for e, c in zip(exps, self._coeffs):
+            if integers and e % p:
+                raise UsageError(f"exponent {e} is not divisible by p in the group")
+            r = root(c)
+            if r is None:
+                raise UsageError("coefficient is not a p-th power in the residue field")
+            coeffs.append(r)
+        if integers and bound is not None and bound % p:
+            raise UsageError("precision bound does not divide by p in the group")
         # n/(p*den): divide the numerators where p divides all of them (den
-        # stays least), else multiply den, which only the integers refuse
+        # stays least), else multiply den
         if type(den) is int:
             if all(e % p == 0 for e in exps) and (bound is None or bound % p == 0):
                 exps, bound = _affine(exps, bound, 1, 0, p)
-            elif field.group.kind is GroupKind.INT:
-                self._refuse_root()
             else:
                 den *= p
         else:
@@ -453,25 +442,9 @@ class SeriesElt:
                     k[i] = p
             exps, bound = _affine(exps, bound, (1, 1), (0, 0), tuple(div))
             den = (den[0] * k[0], den[1] * k[1])
-        coeffs = self._coeffs
-        if not ring.prime:
-            coeffs = tuple([ring.root(c) for c in coeffs])
-            if None in coeffs:
-                raise UsageError("coefficient is not a p-th power in the residue field")
         # dividing by p keeps the order, and a root of a nonzero coefficient
         # is nonzero
-        return SeriesElt(field, exps, coeffs, den, bound)
-
-    def _refuse_root(self):
-        """Raise the error pth_root meets first over the integers."""
-        p = self.field.p
-        root = self.field.ring.root
-        for e, c in zip(self._exps, self._coeffs):
-            if e % p:
-                raise UsageError(f"exponent {e} is not divisible by p in the group")
-            if root(c) is None:
-                raise UsageError("coefficient is not a p-th power in the residue field")
-        raise UsageError("precision bound does not divide by p in the group")
+        return SeriesElt(field, exps, tuple(coeffs), den, bound)
 
     def invert(self, target: GroupElt | None = None) -> "SeriesElt":
         """Multiplicative inverse, truncated so that self * result is
@@ -669,22 +642,20 @@ def _products(ae, ac, be, bc, bound, ring):
 
 
 def _pair_products(ae, ac, be, bc, bound, ring):
-    """_products for pair exponents: within one product each pair (x, y)
-    packs into the int x*w + (y - low), with w wider than every sum of
-    second coordinates; int order is then lexicographic order."""
-    la = min([y for _, y in ae])
-    lb = min([y for _, y in be])
-    w = max([y for _, y in ae]) - la + max([y for _, y in be]) - lb + 1
-    ka = [x * w + y - la for x, y in ae]
-    kb = [x * w + y - lb for x, y in be]
-    cut = None
-    if bound is not None:
-        # a second coordinate below every sum adds nothing to the first;
-        # one above every sum admits the whole row of the first
-        cut = bound[0] * w + min(max(bound[1] - la - lb, 0), w)
-    codes, coeffs = _products(ka, ac, kb, bc, cut, ring)
-    low = la + lb
-    return [(x, y + low) for x, y in [divmod(e, w) for e in codes]], coeffs
+    """_products for pair exponents, which tuples compare lexicographically."""
+    # every sum has a first coordinate at most the sum of the last ones
+    cut = (ae[-1][0] + be[-1][0] + 1, 0) if bound is None else bound
+    out = {}
+    add, mul = ring.add, ring.mul
+    for (x1, y1), c1 in zip(ae, ac):
+        for (x2, y2), c2 in zip(be, bc):
+            e = (x1 + x2, y1 + y2)
+            if e >= cut:
+                break
+            c = mul(c1, c2)
+            out[e] = add(out[e], c) if e in out else c
+    exps = sorted([e for e, c in out.items() if c])
+    return exps, [out[e] for e in exps]
 
 
 def artin_schreier_shift(f: SeriesElt, h: SeriesElt) -> SeriesElt:

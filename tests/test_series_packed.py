@@ -307,8 +307,8 @@ def test_rank_two_values_built_differently_compare_equal():
 
 
 def test_rank_two_product_cuts_a_bound_above_every_second_coordinate():
-    """Within one lex2 product the pairs pack into ints; a bound whose second
-    coordinate lies above every packed sum must still stop at its first."""
+    """A lex2 bound whose second coordinate lies above every sum of second
+    coordinates must still cut at its first coordinate."""
     field = FIELD_PRESETS["gf2-lex2"].build()
     a = parse_expr("1 + O(X^((1, 5)))", field)
     b = parse_expr("1 + X^((2, 0))", field)
