@@ -155,10 +155,6 @@ class ExtElt:
     def scale_base(self, c: SeriesElt) -> "ExtElt":
         return ExtElt(self.ext, tuple([a * c for a in self.coeffs]))
 
-    def is_base(self) -> bool:
-        """No visible term above the constant coefficient."""
-        return all(not c.has_terms() for c in self.coeffs[1:])
-
     def constant(self) -> SeriesElt:
         return self.coeffs[0]
 

@@ -120,26 +120,31 @@ def classify(f: SeriesElt) -> ASClassification:
     f factors through the canonical monomial g = X**(-v(f)/p) as a unit u
     times g**(-p), and the residue of u decides between best-ii and the
     improvement h = -lift(root) * g**(-1), which kills the leading term.
+
+    Sign, p-divisibility, the root and the witness h are read off the
+    packed leading term (SeriesElt.lead_sign and lead_root), so a chain
+    step builds one GroupElt, the recorded valuation, and no GFElt; the
+    valuation-zero branch and the unit of a best-ii verdict use the
+    boundary types.
     """
     field = f.field
-    group = field.group
     k = field.residue
     if f.is_exact_zero():
         return ASClassification(Verdict.TRIVIAL, note="f is exactly zero")
-    zero = group.zero()
     if not f.has_terms():
         # v(f) >= bound is all that is known; a positive bound settles it
-        if f.precision > zero:
+        if f.precision > field.group.zero():
             return ASClassification(
                 Verdict.TRIVIAL,
                 note=f"f is zero to precision {f.precision} > 0")
         raise InsufficientPrecisionError(
             "cannot classify: f is zero to working precision")
+    sign = f.lead_sign()
     v = f.valuation()
-    if v > zero:
+    if sign > 0:
         return ASClassification(Verdict.TRIVIAL, valuation=v,
                                 note="positive valuation")
-    if v == zero:
+    if sign == 0:
         fbar = f.residue_class()
         x = k.artin_schreier_preimage(fbar)
         if x is None:
@@ -147,36 +152,32 @@ def classify(f: SeriesElt) -> ASClassification:
         h = field.from_residue(-x)
         return ASClassification(Verdict.NOT_BEST, valuation=v, improvement_h=h,
                                 preimage=x)
-    half = group.is_p_divisible(v)
-    if half is None:
+    divides, root = f.lead_root()
+    if not divides:
         return ASClassification(Verdict.BEST_I, valuation=v)
-    u = f.shift(-v)
-    ubar = u.residue_class()
-    root = k.pth_root(ubar)
     if root is None:
+        u = f.shift(-v)
         return ASClassification(Verdict.BEST_II, valuation=v, unit=u,
-                                unit_residue=ubar)
-    h = field.monomial(-root, half)
-    return ASClassification(Verdict.NOT_BEST, valuation=v, improvement_h=h)
+                                unit_residue=u.residue_class())
+    return ASClassification(Verdict.NOT_BEST, valuation=v, improvement_h=-root)
 
 
 def improve(f: SeriesElt, h: SeriesElt) -> SeriesElt:
     """Apply f -> f + h**p - h and insist the valuation strictly rises."""
-    old = f.valuation()
+    if not f.has_terms():
+        # raises for a zero to precision; an exact zero has valuation
+        # INFINITY, which nothing rises above
+        f.valuation()
     out = artin_schreier_shift(f, h)
     if out.is_exact_zero():
         return out
-    try:
-        new = out.valuation()
-    except InsufficientPrecisionError:
-        # nothing visible below the bound; the rise is certified if the
-        # bound itself clears the old valuation
-        if out.precision > old:
-            return out
-        raise
-    if not new > old:
-        raise NoImprovementError(f"improvement left the valuation at {new} (was {old})")
-    return out
+    # certified by the leading exponent of out, or by its bound when
+    # nothing is visible below it
+    if f.has_terms() and out.rises_above(f):
+        return out
+    new = out.valuation()
+    raise NoImprovementError(
+        f"improvement left the valuation at {new} (was {f.valuation()})")
 
 
 def normalize_loop(x, budget: int, classify_step, improve_step,

@@ -33,6 +33,13 @@ it; the arguments of shift, truncate, scale_residue and invert) or leaves
 views, format_series), once per call; no arithmetic inside the layer builds
 either.  The views are rebuilt on every access.
 
+Leading-term queries.  lead_sign, lead_root and rises_above answer what one
+step of best_f.classify and improve asks, on the packed leading exponent
+and coefficient: the sign of the valuation; whether it divides by p in the
+group, with the monomial p-th root of the leading term; and whether one
+valuation (or a bound) clears another, the denominators cross-multiplied.
+They build no GroupElt or GFElt and ask the group no membership question.
+
 Value-group membership is checked where a value enters from outside the
 layer: make checks every exponent and the bound, shift and truncate check
 their one argument, and pth_root asks whether every packed numerator
@@ -218,9 +225,6 @@ class SeriesElt:
 
     # -- basic queries -----------------------------------------------------
 
-    def is_exact(self) -> bool:
-        return self._bound is None
-
     def is_exact_zero(self) -> bool:
         return not self._exps and self._bound is None
 
@@ -246,6 +250,48 @@ class SeriesElt:
         if self._bound is not None:
             return self.precision
         raise UsageError("exact zero has no finite valuation bound")
+
+    # -- leading-term queries of the normalize step (no boundary type built) ---
+
+    def lead_sign(self) -> int:
+        """-1, 0 or 1 as the valuation is negative, zero or positive; needs a
+        visible term."""
+        e = self._exps[0]
+        zero = 0 if type(e) is int else (0, 0)
+        return (e > zero) - (e < zero)
+
+    def lead_root(self):
+        """(divides, root) for the leading term c*X^v: divides says whether
+        v/p lies in the group (as ValueGroup.is_p_divisible decides), root is
+        the monomial r*X^(v/p) with r**p = c, or None when v/p leaves the
+        group or c has no p-th root.  Needs a visible term."""
+        field = self.field
+        p = field.p
+        n, den = self._exps[0], self._den
+        # n/(p*den): divide n where p divides it, else multiply den
+        if type(den) is int:
+            if n % p == 0:
+                n //= p
+            elif field.group.kind is GroupKind.INT:
+                return False, None
+            else:
+                den *= p
+        else:
+            (a, b), (da, db) = n, den
+            a, da = (a // p, da) if a % p == 0 else (a, da * p)
+            b, db = (b // p, db) if b % p == 0 else (b, db * p)
+            n, den = (a, b), (da, db)
+        r = field.ring.root(self._coeffs[0])
+        if r is None:
+            return True, None
+        return True, _canonical(field, (n,), (r,), den, None)
+
+    def rises_above(self, other: "SeriesElt") -> bool:
+        """Whether the least visible exponent of self, or its bound when none
+        is visible, lies strictly above the valuation of other.  self must
+        not be an exact zero and other needs a visible term."""
+        x = self._exps[0] if self._exps else self._bound
+        return _times(x, other._den) > _times(other._exps[0], self._den)
 
     # -- ring structure ----------------------------------------------------
 

@@ -207,14 +207,6 @@ class ValueGroup:
             raise UsageError(f"{a} does not lie in the {self.kind.value} group")
         return a
 
-    def compare(self, a: GroupElt, b: GroupElt) -> int:
-        """Total order; -1, 0 or 1.  Both arguments must belong to the group."""
-        self.check_member(a)
-        self.check_member(b)
-        if a.parts < b.parts:
-            return -1
-        return 1 if a.parts > b.parts else 0
-
     def is_p_divisible(self, a: GroupElt) -> GroupElt | None:
         """Return a/p when that stays in the group, else None.
 

@@ -18,10 +18,11 @@ from valuata.dsl import parse_expr
 from valuata.kummer import classify_h, kummer_bestness_probe, normalize_h
 from valuata.norm_ideal import (hn_defectless_check, s_inequality_suite,
                                 trace_lemma_suite)
-from valuata.sampling import (random_cyclo_unit, random_ext_elt,
-                              random_shift_probe)
+from valuata.sampling import random_ext_elt
 from valuata.hahn_series import agrees_to_precision
 from valuata.value_group import ge
+
+from helpers import random_cyclo_unit, random_shift_probe
 
 
 def _line(num: int, ok: bool, text: str) -> None:

@@ -9,8 +9,9 @@ from valuata.best_f import (OutcomeKind, Verdict, bestness_probe, classify,
 from valuata.dsl import parse_expr
 from valuata.errors import UsageError
 from valuata.hahn_series import format_series
-from valuata.sampling import random_shift_probe
 from valuata.value_group import ge
+
+from helpers import random_shift_probe
 
 seeds = st.integers(min_value=0, max_value=10**9)
 

@@ -1,0 +1,125 @@
+"""Fuzzing the DSL and the CLI: any expression text and any flag values give
+a report or a clean exit with a message, never a traceback.
+
+Expressions are mostly sums of well-formed terms for the command's engine,
+otherwise token soup: the DSL's own tokens mixed with arbitrary non-digit
+text.  Flag values are mostly sensible, otherwise arbitrary text.  Integers
+stay single digits, separated by spaces, so that a power or an exponent
+never asks for unbounded work.
+"""
+
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from valuata.cli import main
+from valuata.corpus import FIELD_PRESETS
+from valuata.dsl import parse_expr
+from valuata.errors import ValuataError
+
+TOKENS = ["X", "X^", "^", "(", ")", ",", "-", "+", "*", "/", "O", "y", "w", "pi",
+          "z", "0", "1", "2", "3", "9", "1/2", "-1/3", "(-1, 0)", "(0, -1/2)"]
+JUNK = st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=3)
+SOUP = st.lists(st.sampled_from(TOKENS) | JUNK, max_size=10).map(" ".join)
+EXPONENTS = st.sampled_from(["-3", "-2", "-1", "-1/2", "-2/3", "0", "1", "1/3",
+                             "(-1, 0)", "(0, -1)", "(-1/2, 2)"])
+SERIES_TERMS = st.builds("{}*X^({})".format,
+                         st.sampled_from(["1", "1", "2", "y", "w", "(1 + y)"]), EXPONENTS)
+SERIES = st.builds("{}{}".format,
+                   st.lists(SERIES_TERMS, min_size=1, max_size=3).map(" + ".join),
+                   st.just("") | EXPONENTS.map(" + O(X^({}))".format))
+KUMMER_TERMS = st.builds("{}*pi^{}".format,
+                         st.sampled_from(["1", "2", "z", "y", "(1 + z)"]), st.integers(0, 4))
+KUMMER = st.lists(KUMMER_TERMS, min_size=1, max_size=3).map(" + ".join).map("1 + {}".format)
+
+
+@st.composite
+def mostly(draw, usual, other=JUNK):
+    """A draw from usual three times in four, else from other."""
+    return draw(usual if draw(st.integers(0, 3)) else other)
+
+
+def values(*choices):
+    return mostly(st.sampled_from(choices))
+
+
+SERIES_FLAGS = {
+    "--field": values(*FIELD_PRESETS),
+    "--residue": values("gf:2", "gf:3", "gf:4", "ratfunc:2", "gf:6", "gf:1"),
+    "--group": values("int", "int-inv-p", "rat", "lex2"),
+    "--p": values("2", "3", "0", "-2"),
+    "--precision": values("-1", "0", "1", "4", "24"),
+    "--seed": values("0", "7", "-1"),
+}
+KUMMER_FLAGS = {
+    "--p": values("2", "3", "0", "4"),
+    "--m": values("1", "2", "0"),
+    "--precision": values("-1", "0", "8", "24"),
+    "--seed": values("0", "7"),
+}
+COMMANDS = {
+    "analyze-as": SERIES_FLAGS,
+    "normalize-as": {**SERIES_FLAGS, "--budget": values("-1", "0", "3", "16")},
+    "verify-norm-ideal": {**SERIES_FLAGS, "--count": values("1", "2", "0")},
+    "classify-kummer": KUMMER_FLAGS,
+    "normalize-kummer": {**KUMMER_FLAGS, "--budget": values("-1", "0", "4")},
+}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    kummer = command.endswith("kummer")
+    argv = [command, draw(mostly(KUMMER if kummer else SERIES, SOUP))]
+    flags = COMMANDS[command]
+    chosen = draw(st.lists(st.sampled_from(sorted(flags)), max_size=3, unique=True))
+    if command == "verify-norm-ideal" and "--count" not in chosen:
+        chosen.append("--count")       # the default of 25 samples is slow
+    for flag in chosen:
+        argv += [flag, draw(flags[flag])]
+    if kummer and draw(st.booleans()):
+        argv.append("--with-y")
+    return argv
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argvs())
+def test_cli_gives_a_report_or_a_message(argv):
+    code, out, err = run(argv)
+    if out.startswith("usage:"):       # an expression that reads as -h
+        assert code == 0
+        return
+    assert code in (0, 1, 2), (argv, code, err)
+    if out:
+        assert json.loads(out)["command"] == argv[0]
+        assert code in (0, 2)
+    else:
+        # exit 1, or 2 when a theorem check fails before the report
+        assert code in (1, 2) and err.strip(), argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(FIELD_PRESETS)), mostly(SERIES, SOUP))
+def test_parse_expr_returns_a_value_or_a_library_error(preset, text):
+    """A value, or one of the errors the CLI turns into exit 1."""
+    field = FIELD_PRESETS[preset].build()
+    try:
+        value = parse_expr(text, field)
+    except (ValuataError, ZeroDivisionError) as exc:
+        assert str(exc)
+    else:
+        assert value.field == field

@@ -176,7 +176,7 @@ def test_round_trip_random_series(seed):
 @settings(max_examples=40, deadline=None)
 @given(seeds)
 def test_round_trip_random_cyclo(seed):
-    from valuata.sampling import random_cyclo_unit
+    from helpers import random_cyclo_unit
     rng = random.Random(seed)
     for spec in (FieldSpec("cyclo", p=2, m=1, precision=48),
                  FieldSpec("cyclo", p=3, m=1, precision=48),

@@ -11,7 +11,8 @@ from valuata.kummer import (CycloField, KummerVerdict, classify_h,
                             cyclo_agrees, format_cyclo, improve_h,
                             kummer_bestness_probe, kummer_invariants,
                             normalize_h)
-from valuata.sampling import random_cyclo_unit
+
+from helpers import random_cyclo_unit
 
 seeds = st.integers(min_value=0, max_value=10**9)
 

@@ -8,6 +8,7 @@ module invariants.  Exponents with denominators p**k up to k = 500 stand
 for the ends of long Artin-Schreier chains over p-divisible groups.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ from valuata.corpus import FIELD_PRESETS
 from valuata.dsl import parse_expr
 from valuata.errors import InsufficientPrecisionError, UsageError
 from valuata.hahn_series import SeriesField, agrees_to_precision
-from valuata.residue_field import GF
+from valuata.residue_field import GF, GFElt
 from valuata.value_group import GroupElt, GroupKind, ValueGroup, ge
 
 FIELDS = {
@@ -234,8 +235,8 @@ def test_pth_root_refuses_exponents_and_bounds_outside_the_group():
 
 def test_membership_checks_grow_linearly_with_the_chain(monkeypatch):
     """A 300-step defect chain over Z[1/2] asks the group about membership
-    a few times per step (classify's is_p_divisible and its witness
-    monomial), not once per term of every intermediate result."""
+    at most a few times per step, not once per term of every intermediate
+    result."""
     field = FIELD_PRESETS["gf2-half-powers"].build()
     f = parse_expr("X^(-1)", field)
     calls = [0]
@@ -250,3 +251,38 @@ def test_membership_checks_grow_linearly_with_the_chain(monkeypatch):
     assert outcome.steps == 300
     assert outcome.f_star.valuation() == ge(Fraction(-1, 2 ** 300))
     assert calls[0] <= 5 * outcome.steps
+
+
+@pytest.mark.parametrize("preset,expr", [("gf2-half-powers", "X^(-1)"),
+                                         ("gf2-rationals", "X^(-1)"),
+                                         ("gf2-lex2", "X^((-1, 0))")])
+def test_normalize_steps_stay_on_packed_values(monkeypatch, preset, expr):
+    """Each step of a 300-step defect chain builds at most two GroupElt (the
+    valuation classify records and the trajectory entry), no GFElt, and asks
+    the group nothing: sign, p-divisibility, root, witness and the rise are
+    read off the packed leading term."""
+    field = FIELD_PRESETS[preset].build()
+    f = parse_expr(expr, field)
+    counts = Counter()
+
+    def counting(owner, name, key):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(GroupElt, "__init__", "GroupElt")
+    counting(GFElt, "__init__", "GFElt")
+    counting(ValueGroup, "contains", "contains")
+    outcome = normalize(f, 300)
+    monkeypatch.undo()
+    assert outcome.steps == 300
+    assert outcome.trajectory[-1] == outcome.f_star.valuation()
+    # every improvement is followed by one more classification
+    steps = outcome.steps + 1
+    assert counts["GroupElt"] <= 2 * steps
+    assert counts["GFElt"] == 0
+    assert counts["contains"] == 0

@@ -108,4 +108,4 @@ def test_long_exact_element_answers_from_a_truncated_norm(monkeypatch):
 
     monkeypatch.setattr(ExtElt, "norm", recording)
     assert a.valuation_L() == expected
-    assert len(norms) == 1 and not norms[0].is_exact()
+    assert len(norms) == 1 and norms[0].precision is not None

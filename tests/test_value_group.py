@@ -82,10 +82,10 @@ def test_membership_rat_and_lex2():
 def test_compare_requires_membership():
     g = ValueGroup(GroupKind.INT, 2)
     with pytest.raises(UsageError):
-        g.compare(ge(Fraction(1, 2)), ge(0))
-    assert g.compare(ge(1), ge(2)) == -1
-    assert g.compare(ge(2), ge(2)) == 0
-    assert g.compare(ge(3), ge(2)) == 1
+        g.check_member(ge(Fraction(1, 2)))
+    assert g.check_member(ge(1)) < g.check_member(ge(2))
+    assert ge(2) == ge(2) and not ge(2) < ge(2)
+    assert ge(3) > ge(2)
 
 
 @given(fractions, fractions)
