@@ -21,7 +21,7 @@ from .norm_ideal import (LefschetzSample, SInequalityReport, TraceLemmaReport,
                          s_inequality_suite,
                          trace_lemma_suite, verify_s_inequality,
                          verify_trace_lemma, y_construct)
-from .dsl import format_elt, parse_expr
+from .dsl import parse_expr
 from .corpus import ENTRIES, FIELD_PRESETS, CorpusEntry, FieldSpec, run_corpus
 
 __version__ = "0.1.0"
@@ -42,7 +42,7 @@ __all__ = [
     "sample_generator", "sample_unit_generator",
     "s_inequality_suite", "trace_lemma_suite",
     "verify_s_inequality", "verify_trace_lemma", "y_construct",
-    "format_elt", "parse_expr",
+    "parse_expr",
     "ENTRIES", "FIELD_PRESETS", "CorpusEntry", "FieldSpec", "run_corpus",
     "__version__",
 ]

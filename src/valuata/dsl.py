@@ -12,11 +12,15 @@ Grammar (whitespace insensitive):
 
 Which atoms are legal depends on the target field: X and w belong to series
 fields, pi and z to the p-adic cyclotomic fields, y to either when the
-residue field carries it.  Division is multiplication by the inverse; for
-series it therefore requires a denominator that parses to a single term,
-which is the only shape the formatters emit.  The trailing O term truncates
-a series to the named precision.  format/parse round trip: parsing the
-formatted text of any element reproduces it.
+residue field carries it.  A builder per field kind supplies only those
+atoms (integers, symbols, X powers) and the O-term truncation; the parser
+applies the elements' own operators to them.  Division is multiplication by
+the inverse; for series it therefore requires a denominator that parses to
+a single term, which is the only shape the formatters emit.  An integer
+power n goes through ``residue_field.power``, about 2*log2(n) products, and
+a negative one inverts first.  The trailing O term truncates a series to
+the named precision.  format/parse round trip: parsing ``str()`` of any
+element reproduces it.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from fractions import Fraction
 from .errors import UsageError
 from .hahn_series import SeriesElt, SeriesField
 from .kummer import CycloElt, CycloField
+from .residue_field import power
 from .value_group import GroupElt
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z]+)|([-+*/^(),]))")
@@ -83,13 +88,13 @@ class _Parser:
             negate = True
         value = self.term()
         if negate:
-            value = self.b.neg(value)
+            value = -value
         while self.peek()[:2] in (("sym", "+"), ("sym", "-")):
             op = self.next()[1]
             if op == "+" and self.peek()[:2] == ("name", "O"):
                 return self.o_term(value)
             nxt = self.term()
-            value = self.b.add(value, nxt) if op == "+" else self.b.sub(value, nxt)
+            value = value + nxt if op == "+" else value - nxt
         return value
 
     def o_term(self, value):
@@ -112,13 +117,13 @@ class _Parser:
         while self.peek()[:2] in (("sym", "*"), ("sym", "/")):
             op = self.next()[1]
             nxt = self.factor()
-            value = self.b.mul(value, nxt) if op == "*" else self.b.div(value, nxt)
+            value = value * nxt if op == "*" else value * nxt.invert()
         return value
 
     def factor(self):
         if self.peek()[:2] == ("sym", "-"):
             self.next()
-            return self.b.neg(self.factor())
+            return -self.factor()
         kind, value, pos = self.peek()
         if kind == "name" and value == "X":
             self.next()
@@ -129,7 +134,9 @@ class _Parser:
         if self.peek()[:2] == ("sym", "^"):
             self.next()
             n = self.int_exponent()
-            return self.b.int_power(base, n)
+            if n < 0:
+                base, n = base.invert(), -n
+            return power(base, n, self.b.integer(1))
         return base
 
     def atom(self):
@@ -218,29 +225,6 @@ class _SeriesBuilder:
         self.field.group.check_member(exp)
         return self.field.monomial(self.field.residue.one(), exp)
 
-    def int_power(self, a, n):
-        if n < 0:
-            return self.int_power(a.invert(), -n)
-        out = self.field.one()
-        for _ in range(n):
-            out = out * a
-        return out
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def div(self, a, b):
-        return a * b.invert()
-
     def truncate(self, a, bound: GroupElt):
         self.field.group.check_member(bound)
         return a.truncate(bound)
@@ -270,24 +254,6 @@ class _CycloBuilder:
     def x_power(self, exp):
         raise UsageError("'X' does not belong to p-adic fields")
 
-    def int_power(self, a, n):
-        return a.pow(n)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def div(self, a, b):
-        return a * b.invert()
-
     def truncate(self, a, bound):
         raise UsageError("O(...) bounds apply to series fields only")
 
@@ -310,13 +276,3 @@ def parse_expr(text: str, field) -> SeriesElt | CycloElt:
         raise UsageError(f"trailing input at position {pos}")
     return value
 
-
-def format_elt(a) -> str:
-    """Uniform text form whose parse returns an equal element."""
-    from .hahn_series import format_series
-    from .kummer import format_cyclo
-    if isinstance(a, SeriesElt):
-        return format_series(a)
-    if isinstance(a, CycloElt):
-        return format_cyclo(a)
-    return str(a)

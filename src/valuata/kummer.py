@@ -35,7 +35,7 @@ from .best_f import (InvariantsReport, NormalizeOutcome, OutcomeKind,
                      invariants, normalize_loop)
 from .errors import (InsufficientPrecisionError, NoImprovementError,
                      UsageError, ZeroToPrecisionError)
-from .residue_field import GF, RatFunc, _is_prime
+from .residue_field import GF, RatFunc, _is_prime, format_poly_y, power
 from .value_group import ge
 
 
@@ -224,18 +224,6 @@ class CycloBase:
                     raw[i + j] += a * b
         return self._reduce(raw, self.shift + other.shift, n)
 
-    def pow(self, n: int) -> "CycloBase":
-        if n < 0:
-            return self.invert().pow(-n)
-        result = self.field.base_one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def div_pi(self, t: int) -> "CycloBase":
         """Divide by pi**t: a pure shift move, free of precision cost."""
         return CycloBase(self.field, self.shift - t, self.coeffs, self.nprec)
@@ -283,9 +271,6 @@ class CycloBase:
         return sign * (self.coeffs[r] // self.field.p ** vp) % self.field.p
 
     # -- inversion -----------------------------------------------------------------
-
-    def _sig_valuation(self) -> int:
-        return self.valuation() - self.shift
 
     def _divide_significand(self, t: int) -> "CycloBase":
         """Extract pi**t from the significand; costs about t/D + t%D precision."""
@@ -425,15 +410,8 @@ class CycloElt:
 
     def pow(self, n: int) -> "CycloElt":
         if n < 0:
-            return self.invert().pow(-n)
-        result = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+            return power(self.invert(), -n, self.field.one())
+        return power(self, n, self.field.one())
 
     def shift_pi(self, t: int) -> "CycloElt":
         """Multiply by pi**t, any integer t; exact and free."""
@@ -550,22 +528,8 @@ def format_cyclo(a: CycloElt) -> str:
 
 
 def _format_poly_y(poly) -> str:
-    parts = []
-    for j, c in enumerate(poly):
-        if c.is_represented_zero():
-            continue
-        cs = format_cyclo_base(c)
-        if j == 0:
-            parts.append(cs if ("+" not in cs and "*" not in cs) else f"({cs})")
-            continue
-        var = "y" if j == 1 else f"y^{j}"
-        if cs == "1":
-            parts.append(var)
-        elif "+" in cs or "*" in cs:
-            parts.append(f"({cs})*{var}")
-        else:
-            parts.append(f"{cs}*{var}")
-    return " + ".join(parts) if parts else "0"
+    return format_poly_y((j, format_cyclo_base(c)) for j, c in enumerate(poly)
+                         if not c.is_represented_zero())
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from .errors import (ConstructionAssertError, FixedElementError,
                      IdentityViolatedError, InequalityViolatedError,
                      NotAGeneratorError, UsageError)
 from .hahn_series import SeriesElt, agrees_to_precision
+from .residue_field import power
 from .sampling import (_coerce_bound, random_ext_elt, random_group_elt,
                        random_residue, random_series)
 from .value_group import GroupElt
@@ -38,13 +39,6 @@ from .value_group import GroupElt
 
 def _has_visible(a: ExtElt) -> bool:
     return any(c.has_terms() for c in a.coeffs)
-
-
-def _pow(a: ExtElt, n: int) -> ExtElt:
-    out = a.ext.one()
-    for _ in range(n):
-        out = out * a
-    return out
 
 
 def lefschetz_val(b: ExtElt, power: int = 1) -> GroupElt:
@@ -74,7 +68,7 @@ def derivative_product(b: ExtElt) -> ExtElt:
 def gamma_of(b: ExtElt) -> ExtElt:
     """b**(p-1) / g'(b); its trace is 1, the seed of the y construction."""
     p = b.ext.p
-    return _pow(b, p - 1) * derivative_product(b).invert()
+    return power(b, p - 1, b.ext.one()) * derivative_product(b).invert()
 
 
 @dataclass(frozen=True)
@@ -121,7 +115,7 @@ def y_construct(b: ExtElt) -> LefschetzSample:
         raise ConstructionAssertError(
             "sigma(y) - y - 1 has a visible term; construction failed")
     n_y = y.norm()
-    direct = _pow(y, p) - y
+    direct = power(y, p, ext.one()) - y
     for c in direct.coeffs[1:]:
         if c.has_terms():
             raise ConstructionAssertError(
@@ -149,10 +143,10 @@ def verify_trace_lemma(b: ExtElt) -> TraceLemmaReport:
     p = ext.p
     ginv = derivative_product(b).invert()
     checks = []
-    power = ext.one()
+    b_m = ext.one()
     for m in range(1, p):
-        power = power * b
-        t = (power * ginv).trace()
+        b_m = b_m * b
+        t = (b_m * ginv).trace()
         expected = ext.base.zero() if m <= p - 2 else ext.base.one()
         ok = agrees_to_precision(t, expected)
         checks.append((m, ok))

@@ -19,6 +19,12 @@ Gerhard, *Modern Computer Algebra*, ch. 2-3).  The series layer
 computes with ``GF.codes``; a GFElt is built only where a coefficient
 leaves that layer.
 
+``power(x, n, one)`` is the one square-and-multiply of the package: every
+element type (GF, RatFunc, series, extension and cyclotomic elements, and
+the expression parser's ``^``) raises to a power n >= 0 through it, with
+about 2*log2(n) products.  ``format_poly_y`` is the one printer of
+polynomials in y, shared with the cyclotomic fields.
+
 Beyond the ring operations each field decides, exactly:
 
 * ``pth_root(c)``: in GF(q) every element has the root c**(q/p).  In RatFunc
@@ -63,6 +69,23 @@ def _is_prime(n):
             return False
         k += 1
     return True
+
+
+def power(x, n: int, one):
+    """x**n for n >= 0 by square-and-multiply, with ``one`` the result at 0.
+
+    Every element type raises to integer powers here, about 2*log2(n)
+    products in all; the loop stops before the square no bit would use.
+    Callers handle negative n by inverting first.
+    """
+    result = one
+    while n:
+        if n & 1:
+            result = result * x
+        n >>= 1
+        if n:
+            x = x * x
+    return result
 
 
 @dataclass(frozen=True)
@@ -245,15 +268,8 @@ class GF:
 
     def pow(self, a: GFElt, n: int) -> GFElt:
         if n < 0:
-            return self.pow(self.inv(a), -n)
-        result = self.one()
-        base = a
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+            return power(self.inv(a), -n, self.one())
+        return power(a, n, self.one())
 
     def inv(self, a: GFElt) -> GFElt:
         if a.is_zero():
@@ -559,15 +575,8 @@ class RatFunc:
 
     def pow(self, a: RatFuncElt, n: int) -> RatFuncElt:
         if n < 0:
-            return self.pow(self.inv(a), -n)
-        result = self.one()
-        base = a
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+            return power(self.inv(a), -n, self.one())
+        return power(a, n, self.one())
 
     def frobenius(self, a: RatFuncElt) -> RatFuncElt:
         """num**p / den**p is again reduced, with den**p monic."""
@@ -616,9 +625,7 @@ class RatFunc:
         if d is None:
             return None
         bound = self.artin_schreier_degree_bound(c)
-        dpow = (1,)
-        for _ in range(p - 1):
-            dpow = poly_mul(gf, d, dpow)
+        dpow = power(RatFuncElt(self, d, (1,)), p - 1, self.one()).num
         # one unknown per (degree t, basis index b), in that order
         images = []
         for t in range(bound + 1):
@@ -661,24 +668,27 @@ def _cancel(field, a, b):
 
 
 def _format_poly(field, a) -> str:
-    if not a:
-        return "0"
+    return format_poly_y((i, field.format_elt(field.from_code(a[i])))
+                         for i in range(len(a) - 1, -1, -1) if a[i])
+
+
+def format_poly_y(terms) -> str:
+    """Text of a polynomial in y from (degree, coefficient text) pairs, given
+    in print order; a coefficient with a sum or product in it is bracketed."""
     parts = []
-    for i in range(len(a) - 1, -1, -1):
-        if not a[i]:
-            continue
-        cs = field.format_elt(field.from_code(a[i]))
+    for i, cs in terms:
+        compound = "+" in cs or "*" in cs
         if i == 0:
-            parts.append(cs if ("+" not in cs and "*" not in cs) else f"({cs})")
+            parts.append(f"({cs})" if compound else cs)
             continue
         var = "y" if i == 1 else f"y^{i}"
         if cs == "1":
             parts.append(var)
-        elif "+" in cs or "*" in cs:
+        elif compound:
             parts.append(f"({cs})*{var}")
         else:
             parts.append(f"{cs}*{var}")
-    return " + ".join(parts)
+    return " + ".join(parts) if parts else "0"
 
 
 def _solve_mod_p(cols, rhs, nrows, p):

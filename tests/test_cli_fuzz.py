@@ -4,8 +4,10 @@ a report or a clean exit with a message, never a traceback.
 Expressions are mostly sums of well-formed terms for the command's engine,
 otherwise token soup: the DSL's own tokens mixed with arbitrary non-digit
 text.  Flag values are mostly sensible, otherwise arbitrary text.  Integers
-stay single digits, separated by spaces, so that a power or an exponent
-never asks for unbounded work.
+stay single digits, separated by spaces: ``^`` takes about 2*log2(n)
+products, but the exact result of a power can still have a number of terms
+that grows with n, such as (1 + X)^n over GF(3) with the product of d + 1
+over the base-3 digits d of n, and nothing yet bounds that work.
 """
 
 import io

@@ -1,5 +1,5 @@
 from valuata.corpus import ENTRIES, FIELD_PRESETS, run_corpus
-from valuata.dsl import format_elt, parse_expr
+from valuata.dsl import parse_expr
 
 
 def test_every_entry_passes():
@@ -74,8 +74,8 @@ def test_corpus_expressions_parse_and_round_trip():
     for entry in ENTRIES:
         field = entry.field.build()
         value = parse_expr(entry.expr, field)
-        text = format_elt(value)
-        assert format_elt(parse_expr(text, field)) == text
+        text = str(value)
+        assert str(parse_expr(text, field)) == text
 
 
 def test_product_identity_on_every_reported_invariants():
