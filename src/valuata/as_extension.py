@@ -161,7 +161,9 @@ class ExtElt:
     # -- Galois action -------------------------------------------------------
 
     def sigma(self, power: int = 1) -> "ExtElt":
-        """The generator of the Galois action, alpha -> alpha + power."""
+        """The generator of the Galois action, alpha -> alpha + power.  A
+        coefficient whose binomial scalar is 1 (every one at p = 2) is added
+        unscaled."""
         ext = self.ext
         p = ext.p
         t = power % p
@@ -176,7 +178,7 @@ class ExtElt:
             for j in range(i + 1):
                 scalar = (math.comb(i, j) * pow(t, i - j, p)) % p
                 if scalar:
-                    out[j] = out[j] + c.scale_int(scalar)
+                    out[j] = out[j] + (c if scalar == 1 else c.scale_int(scalar))
         return ExtElt(ext, tuple(out))
 
     # -- norm, trace, valuation ----------------------------------------------

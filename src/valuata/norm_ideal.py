@@ -17,7 +17,10 @@ content checked here, sample by sample:
   * on defectless instances, v(N(1/alpha)) agrees with the conductor -v(f*).
 
 Everything is certified arithmetic: identities are asserted to the carried
-precision and raise rather than report a silent pass.
+precision and raise rather than report a silent pass.  Each sample computes
+N(y) once: it certifies y**p - y and gives v_L(y) = v(N(y))/p.  The other
+valuations are those of the displacement and, for p > 2, of gamma and its
+images under sigma - 1, whose increments are recorded.
 """
 
 from __future__ import annotations
@@ -54,14 +57,13 @@ def lefschetz_val(b: ExtElt, power: int = 1) -> GroupElt:
 def derivative_product(b: ExtElt) -> ExtElt:
     """g'(b): the minimal polynomial's derivative at b, as the product of
     b - sigma^i(b) over i = 1..p-1."""
-    p = b.ext.p
-    out = b.ext.one()
-    for i in range(1, p):
+    out = None
+    for i in range(1, b.ext.p):
         factor = b - b.sigma(i)
         if not _has_visible(factor):
             raise NotAGeneratorError(
                 f"b and sigma^{i}(b) agree to precision; b does not generate")
-        out = out * factor
+        out = factor if out is None else out * factor
     return out
 
 
@@ -92,8 +94,11 @@ def y_construct(b: ExtElt) -> LefschetzSample:
 
     sigma(y) = y + 1 because (sigma - 1)**(p-1) acts as the trace on the
     group ring modulo p, and the trace of gamma is 1.  Both that identity and
-    y**p - y landing in the base are asserted to precision; the valuation
-    increments of the intermediate (sigma - 1)**i(gamma) are recorded.
+    y**p - y landing in the base are asserted to precision.  The valuations
+    computed are v_L(b) and v_L(sigma(b) - b) for s, and for p > 2 those of
+    gamma and each (sigma - 1)**i(gamma), whose increments are recorded
+    (at p = 2 there are none).  s' = -v(N(y))/p is read off the certified
+    N(y), the value y.valuation_L() would return from its full norm.
     """
     ext = b.ext
     p = ext.p
@@ -101,7 +106,7 @@ def y_construct(b: ExtElt) -> LefschetzSample:
     gamma = gamma_of(b)
     y = gamma
     increments = []
-    prev_val = y.valuation_L()
+    prev_val = y.valuation_L() if p > 2 else None
     for _ in range(p - 2):
         y = y.sigma() - y
         if not _has_visible(y):
@@ -123,7 +128,7 @@ def y_construct(b: ExtElt) -> LefschetzSample:
     if not agrees_to_precision(direct.constant(), n_y):
         raise ConstructionAssertError(
             "norm of y disagrees with y^p - y to precision")
-    s_prime = -y.valuation_L()
+    s_prime = -n_y.valuation().divide(p)
     return LefschetzSample(b, s, y, s_prime, n_y, tuple(increments))
 
 
@@ -143,9 +148,8 @@ def verify_trace_lemma(b: ExtElt) -> TraceLemmaReport:
     p = ext.p
     ginv = derivative_product(b).invert()
     checks = []
-    b_m = ext.one()
     for m in range(1, p):
-        b_m = b_m * b
+        b_m = b if m == 1 else b_m * b
         t = (b_m * ginv).trace()
         expected = ext.base.zero() if m <= p - 2 else ext.base.one()
         ok = agrees_to_precision(t, expected)

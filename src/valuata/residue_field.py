@@ -77,6 +77,11 @@ def power(x, n: int, one):
     Every element type raises to integer powers here, about 2*log2(n)
     products in all; the loop stops before the square no bit would use.
     Callers handle negative n by inverting first.
+
+    The first product is ``one * x`` on purpose: a product is canonical for
+    every type, an operand need not be (``CycloElt.invert`` swaps numerator
+    and denominator unreduced), and starting from x would let x.pow(-1)
+    compare unequal (``==``) to the same value built by multiplication.
     """
     result = one
     while n:
