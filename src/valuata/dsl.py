@@ -31,7 +31,7 @@ from fractions import Fraction
 from .errors import UsageError
 from .hahn_series import SeriesElt, SeriesField
 from .kummer import CycloElt, CycloField
-from .residue_field import power
+from .residue_field import RatFunc, power
 from .value_group import GroupElt
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z]+)|([-+*/^(),]))")
@@ -209,11 +209,14 @@ class _SeriesBuilder:
     def symbol(self, name, pos):
         residue = self.field.residue
         if name == "y":
-            if getattr(residue, "kind", "").startswith("ratfunc"):
+            if isinstance(residue, RatFunc):
                 return self.field.from_residue(residue.gen())
             raise UsageError(f"'y' needs a rational-function residue field (position {pos})")
         if name == "w":
-            if getattr(residue, "m", 1) > 1:
+            if isinstance(residue, RatFunc):
+                if residue.base.m > 1:
+                    return self.field.from_residue(residue.from_base(residue.base.gen()))
+            elif residue.m > 1:
                 return self.field.from_residue(residue.gen())
             raise UsageError(f"'w' needs a proper finite-field extension (position {pos})")
         raise UsageError(f"unknown symbol {name!r} for a series field (position {pos})")

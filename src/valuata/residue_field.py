@@ -19,6 +19,22 @@ Gerhard, *Modern Computer Algebra*, ch. 2-3).  The series layer
 computes with ``GF.codes``; a GFElt is built only where a coefficient
 leaves that layer.
 
+Over GF(2) the polynomial kernels (``poly_add``, ``poly_mul``,
+``poly_divmod``, ``poly_gcd``) pack each operand into one Python int, one
+byte slot per coefficient: ``int.from_bytes(bytes(a), "little")``, and
+``to_bytes`` back.  A sum is XOR; long division is shift-and-XOR, with the
+degree read off ``bit_length()``; a product is one big-int multiply reduced
+mod 2 by ``bytes.translate``.  A slot of the product sums at most
+min(len a, len b) ones, so nothing carries into the next slot while the
+shorter operand has fewer than 256 coefficients; longer operands take the
+coefficient loop (Brent, Gaudry, Thome & Zimmermann, "Faster multiplication
+in GF(2)[x]", ANTS 2008, on word-packed GF(2)[x]).  The packed int lives
+only inside one call.  Tuples stay the stored form: ``hahn_series`` keeps
+RatFuncElt coefficients behind its ``_Ring`` record, ``RatFunc.prime_coeffs``
+hands the tuples to Kummer, and the benchmark's tracer takes ``len()`` of
+gcds, numerators and denominators.  Odd p and m > 1 run the code-tuple
+loops.
+
 ``power(x, n, one)`` is the one square-and-multiply of the package: every
 element type (GF, RatFunc, series, extension and cyclotomic elements, and
 the expression parser's ``^``) raises to a power n >= 0 through it, with
@@ -335,7 +351,32 @@ class GF:
 # then pile up on its per-length free lists until a full garbage collection.
 # This code allocates too few tracked objects to trigger one often; built
 # from generators, a long ferocious benchmark run holds about 4 MB more.
+# Over GF(2) four of them compute on byte-slot ints (see the module docstring).
 # ---------------------------------------------------------------------------
+
+_PARITY = bytes([c & 1 for c in range(256)])     # a byte slot mod 2
+
+
+def _pack(a):
+    return int.from_bytes(bytes(a), "little")
+
+
+def _unpack(x):
+    return tuple(x.to_bytes((x.bit_length() + 7) >> 3, "little"))
+
+
+def _divmod2(a, b):
+    """Packed quotient and remainder over GF(2) by shift-and-XOR, b nonzero:
+    every top coefficient is 1, so degrees are bit_length() // 8."""
+    width = b.bit_length()
+    q = 0
+    shift = a.bit_length() - width
+    while shift >= 0:
+        q |= 1 << shift
+        a ^= b << shift
+        shift = a.bit_length() - width
+    return q, a
+
 
 def poly_trim(cs):
     cs = list(cs)
@@ -345,6 +386,8 @@ def poly_trim(cs):
 
 
 def poly_add(field, a, b):
+    if field.p == 2 and field.m == 1:
+        return _unpack(_pack(a) ^ _pack(b))
     if len(a) < len(b):
         a, b = b, a
     add = field.codes.add
@@ -360,9 +403,17 @@ def poly_neg(field, a):
 
 
 def poly_mul(field, a, b):
-    if not a or not b:
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
         return ()
-    out = [0] * (len(a) + len(b) - 1)
+    if b == (1,):               # a denominator of one, most often
+        return a
+    n = len(a) + len(b) - 1
+    if field.p == 2 and field.m == 1 and len(b) < 256:
+        # one product; a byte slot sums at most 255 ones, so nothing carries
+        return tuple((_pack(a) * _pack(b)).to_bytes(n, "little").translate(_PARITY))
+    out = [0] * n
     if field.m == 1:
         # accumulate integer products, reduce once
         for i, x in enumerate(a):
@@ -393,6 +444,9 @@ def poly_divmod(field, a, b):
     n = len(b) - 1
     if len(a) <= n:
         return (), a
+    if field.p == 2 and field.m == 1:
+        q, r = _divmod2(_pack(a), _pack(b))
+        return tuple(q.to_bytes(len(a) - n, "little")), _unpack(r)
     r = list(a)
     q = [0] * (len(a) - n)
     lead_inv = field.codes.inv(b[-1])
@@ -420,6 +474,11 @@ def poly_divmod(field, a, b):
 
 def poly_gcd(field, a, b):
     """The monic gcd; () when both are zero."""
+    if field.p == 2 and field.m == 1:
+        a, b = _pack(a), _pack(b)
+        while b:
+            a, b = b, _divmod2(a, b)[1]
+        return _unpack(a)
     while b:
         a, b = b, poly_divmod(field, a, b)[1]
     return poly_scale(field, a, field.codes.inv(a[-1])) if a else a
@@ -451,13 +510,25 @@ def poly_pth_root(field, a):
 # rational function fields
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class RatFuncElt:
-    """A reduced fraction num/den of polynomials in y, den monic."""
+    """A reduced fraction num/den of polynomials in y, den monic.  Reduced
+    forms are unique, so equality and hashing compare num and den."""
 
-    field: "RatFunc"
-    num: tuple
-    den: tuple
+    __slots__ = ("field", "num", "den")
+
+    def __init__(self, field: "RatFunc", num: tuple, den: tuple):
+        self.field = field
+        self.num = num
+        self.den = den
+
+    def __eq__(self, other):
+        if not isinstance(other, RatFuncElt):
+            return NotImplemented
+        return (self.num == other.num and self.den == other.den
+                and (self.field is other.field or self.field == other.field))
+
+    def __hash__(self):
+        return hash((self.num, self.den))
 
     def _check(self, other):
         if not isinstance(other, RatFuncElt):

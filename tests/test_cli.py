@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from valuata import cli
 from valuata.cli import main
+from valuata.corpus import FieldSpec
+from valuata.value_group import ge
 
 
 def run(capsys, *argv):
@@ -261,6 +264,21 @@ def test_residue_prime_above_13_is_accepted(capsys, residue):
     assert report["field"]["residue"] == residue
     assert report["classification"]["verdict"] == "best-i"
     assert report["invariants"]["product"] == 17
+
+
+@pytest.mark.parametrize("command", ["analyze-as", "normalize-as"])
+def test_w_names_the_base_generator_over_gf4_y(capsys, monkeypatch, command):
+    """Over GF(4)(y), w is the generator of GF(4): the typed expression gives
+    the report of the element built through the field API."""
+    argv = [command, "w*y*X^(-2) + X^(-4)", "--residue", "ratfunc:4"]
+    code, typed, err = run_json(capsys, *argv)
+    assert code == 0, err
+    field = FieldSpec("series", "ratfunc:4", "int").build()
+    k = field.residue
+    f = (field.monomial(k.from_base(k.base.gen()) * k.gen(), ge(-2))
+         + field.monomial(k.one(), ge(-4)))
+    monkeypatch.setattr(cli, "parse_expr", lambda text, fld: f)
+    assert run_json(capsys, *argv) == (0, typed, "")
 
 
 @pytest.mark.parametrize("residue", ["gf:12", "gf:1"])

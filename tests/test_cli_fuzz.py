@@ -50,7 +50,7 @@ def values(*choices):
 
 SERIES_FLAGS = {
     "--field": values(*FIELD_PRESETS),
-    "--residue": values("gf:2", "gf:3", "gf:4", "ratfunc:2", "gf:6", "gf:1"),
+    "--residue": values("gf:2", "gf:3", "gf:4", "ratfunc:2", "ratfunc:4", "gf:6", "gf:1"),
     "--group": values("int", "int-inv-p", "rat", "lex2"),
     "--p": values("2", "3", "0", "-2"),
     "--precision": values("-1", "0", "1", "4", "24"),

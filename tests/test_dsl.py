@@ -41,6 +41,10 @@ def test_coefficients_reduce_mod_p(gf3_laurent):
 def test_residue_symbols_gate_on_field(gf2y_laurent, gf4_laurent, gf2_laurent):
     assert str(parse_expr("y*X^(-2)", gf2y_laurent)) == "y*X^(-2)"
     assert str(parse_expr("w^2", gf4_laurent)) == "(1 + w)"
+    gf4y = FieldSpec("series", "ratfunc:4", "int").build()
+    assert str(parse_expr("w*y + w^2", gf4y)) == "(w*y + (1 + w))"
+    with pytest.raises(UsageError):
+        parse_expr("w", gf2y_laurent)
     with pytest.raises(UsageError):
         parse_expr("y", gf2_laurent)
     with pytest.raises(UsageError):
