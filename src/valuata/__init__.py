@@ -16,8 +16,8 @@ from .kummer import (CycloBase, CycloElt, CycloField, KummerClassification,
                      KummerVerdict, classify_h, cyclo_agrees, improve_h,
                      kummer_bestness_probe, kummer_invariants, normalize_h)
 from .norm_ideal import (LefschetzSample, SInequalityReport, TraceLemmaReport,
-                         derivative_product, gamma_of, hn_defectless_check,
-                         lefschetz_val, sample_generator, sample_unit_generator,
+                         derivative_product, gamma_of, lefschetz_val,
+                         sample_generator, sample_unit_generator,
                          s_inequality_suite,
                          trace_lemma_suite, verify_s_inequality,
                          verify_trace_lemma, y_construct)
@@ -38,7 +38,7 @@ __all__ = [
     "KummerVerdict", "classify_h", "cyclo_agrees",
     "improve_h", "kummer_bestness_probe", "kummer_invariants", "normalize_h",
     "LefschetzSample", "SInequalityReport", "TraceLemmaReport",
-    "derivative_product", "gamma_of", "hn_defectless_check", "lefschetz_val",
+    "derivative_product", "gamma_of", "lefschetz_val",
     "sample_generator", "sample_unit_generator",
     "s_inequality_suite", "trace_lemma_suite",
     "verify_s_inequality", "verify_trace_lemma", "y_construct",

@@ -43,20 +43,19 @@ class FieldSpec:
     m: int = 1
     with_y: bool = False
 
-    _GROUPS = {
-        "int": GroupKind.INT,
-        "int-inv-p": GroupKind.INT_INV_P,
-        "rat": GroupKind.RAT,
-        "lex2": GroupKind.LEX2,
-    }
-
     def build(self):
         if self.kind == "cyclo":
             return CycloField(self.p, self.m, self.with_y, self.precision)
         if self.kind != "series":
             raise UsageError(f"unknown field kind {self.kind!r}")
         residue = self._residue_field()
-        group = ValueGroup(self._GROUPS[self.group], residue.p)
+        try:
+            kind = GroupKind(self.group)
+        except ValueError:
+            names = ", ".join([k.value for k in GroupKind])
+            raise UsageError(f"unknown value group {self.group!r}; "
+                             f"the groups are {names}") from None
+        group = ValueGroup(kind, residue.p)
         if group.rank == 2:
             prec = ge(self.precision, 0)
         else:

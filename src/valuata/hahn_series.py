@@ -20,10 +20,12 @@ power of p over Z[1/p], an lcm over the rationals.  lex2 keeps one
 denominator per coordinate and stores pairs of ints, which Python tuples
 compare lexicographically.  Since den is least, equal values have equal
 layouts, so equality and hashing compare the stored fields.  Coefficients
-in GF(q) are the integer codes of ``GF.codes``; GF(p) codes add and multiply
-as plain ints, so a product accumulates unreduced sums and reduces them
-once.  RatFunc coefficients stay RatFuncElt objects behind the same small
-ring interface (``_Ring``: add, neg, mul, inv, frobenius, p-th root).
+are stored as the residue field stores its elements, integer codes over
+GF(q) and RatFuncElt objects over GF(q)(y), and every coefficient operation
+goes through the field's one ``Ring`` record (``SeriesField.ring``, the
+residue field's ``ring``).  The layer reads nothing else of the residue
+field.  Where ``ring.prime`` is set, coefficients are GF(p) codes and a
+product accumulates unreduced int sums and reduces them once.
 Two operands with different denominators are first carried to the lcm.
 
 GroupElt/Fraction and GFElt are the boundary types.  They are converted
@@ -55,54 +57,15 @@ every coefficient nonzero, and every result is cut at its bound.
 
 from __future__ import annotations
 
-import operator
 from bisect import bisect_left
-from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
 from .errors import InsufficientPrecisionError, UsageError, ZeroToPrecisionError
-from .residue_field import GF, GFElt, RatFunc, RatFuncElt
+from .residue_field import Ring
 from .value_group import INFINITY, GroupElt, GroupKind, ValueGroup
-
-# Coefficient arithmetic inside the layer, and the boundary conversions.
-# prime is p when coefficients are GF(p) codes, which the product kernel adds
-# and multiplies as plain ints; 0 otherwise.  root returns None when no root
-# exists; pack checks and converts a boundary value, unpack converts back.
-_Ring = namedtuple("_Ring", "prime one add neg mul inv frob root from_int pack unpack")
-
-
-def _ring(k) -> _Ring:
-    if isinstance(k, GF):
-        p, q = k.p, k.q
-        add, neg, mul, inv, power = k.codes
-        if k.m == 1:
-            # every element of GF(p) is its own p-th power
-            code, unpack = lambda c: c.coeffs[0], lambda n: GFElt(k, (n,))
-            frob = root = lambda a: a
-        else:
-            code, unpack = k.code, k.from_code
-            frob, root = (lambda a: power(a, p)), (lambda a: power(a, q // p))
-
-        def pack(c):
-            if not isinstance(c, GFElt) or (c.field is not k and c.field != k):
-                raise UsageError("coefficient from a different residue field")
-            return code(c)
-
-        return _Ring(p if k.m == 1 else 0, 1, add, neg, mul, inv, frob, root,
-                     lambda n: n % p, pack, unpack)
-    if isinstance(k, RatFunc):
-        def pack(c):
-            if not isinstance(c, RatFuncElt) or (c.field is not k and c.field != k):
-                raise UsageError("coefficient from a different residue field")
-            return c
-
-        return _Ring(0, k.one(), operator.add, operator.neg, operator.mul, k.inv,
-                     k.frobenius, k.pth_root, k.from_int, pack, lambda c: c)
-    raise UsageError(f"no series arithmetic over {type(k).__name__}")
-
 
 @dataclass(frozen=True)
 class SeriesField:
@@ -125,8 +88,9 @@ class SeriesField:
         return self.residue.p
 
     @cached_property
-    def ring(self) -> _Ring:
-        return _ring(self.residue)
+    def ring(self) -> Ring:
+        """The residue field's coefficient arithmetic (see Ring)."""
+        return self.residue.ring
 
     @cached_property
     def _unit(self):

@@ -29,7 +29,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 from .best_f import (InvariantsReport, NormalizeOutcome, OutcomeKind,
                      invariants, normalize_loop)
@@ -93,20 +93,20 @@ class CycloField:
         coeffs[0] = 1
         return self._base(power, coeffs, self.nprec)
 
-    def base_z(self) -> "CycloBase":
-        return self.base_pi(self.m)
-
-    @property
-    def _fold_rule(self):
+    @cached_property
+    def _fold_rule(self) -> tuple:
         """pi**degree equals sum(rule[j] * pi**j): the folded z**(p-1)."""
-        return _fold_rule(self.p, self.m)
-
-    def _w0(self) -> "CycloBase":
-        """The unit with z**(p-1) = -p * w0; used to divide by powers of z."""
-        coeffs = [0] * self.degree
+        rule = [0] * self.degree
         for k in range(1, self.p):
-            coeffs[self.m * (k - 1)] += math.comb(self.p, k) // self.p
-        return self._base(0, coeffs, self.nprec)
+            rule[self.m * (k - 1)] -= math.comb(self.p, k)
+        return tuple(rule)
+
+    @cached_property
+    def _w0_inverse(self) -> "CycloBase":
+        """1/w0 for the unit w0 with z**(p-1) = -p * w0, so w0 = -rule/p;
+        used to divide by powers of z."""
+        w0 = [-r // self.p for r in self._fold_rule]
+        return self._base(0, w0, self.nprec).invert()
 
     # -- public element constructors ------------------------------------------
 
@@ -126,7 +126,7 @@ class CycloField:
         return self.from_base(self.base_pi(power))
 
     def z(self) -> "CycloElt":
-        return self.from_base(self.base_z())
+        return self.pi(self.m)
 
     def y_gen(self) -> "CycloElt":
         if not self.with_y:
@@ -147,15 +147,7 @@ class CycloField:
                 return self.zero()
             return CycloElt(self, tuple(map(self.base_from_int, num)),
                             tuple(map(self.base_from_int, den)))
-        return self.from_int(r.coeffs[0])
-
-
-@lru_cache(maxsize=None)
-def _fold_rule(p: int, m: int):
-    rule = [0] * (m * (p - 1))
-    for k in range(1, p):
-        rule[m * (k - 1)] -= math.comb(p, k)
-    return tuple(rule)
+        return self.from_int(r.code)
 
 
 @dataclass(frozen=True)
@@ -276,11 +268,8 @@ class CycloBase:
         """Extract pi**t from the significand; costs about t/D + t%D precision."""
         out = self
         D = self.field.degree
-        w0inv = None
         while t >= D:
-            if w0inv is None:
-                w0inv = self.field._w0().invert()
-            out = out * (-w0inv)
+            out = out * (-self.field._w0_inverse)
             if out.nprec <= 1:
                 raise InsufficientPrecisionError("significand renormalization exhausted precision")
             if any(c % self.field.p for c in out.coeffs):
@@ -304,8 +293,7 @@ class CycloBase:
         if c0 == 0:
             return body
         head = self.field._base(self.shift, (0,) * (D - 1) + (1,), self.nprec - 1)
-        w0inv = self.field._w0().invert()
-        correction = head * (-w0inv) * self.field.base_from_int(c0 // p)
+        correction = head * (-self.field._w0_inverse) * self.field.base_from_int(c0 // p)
         return body + correction
 
     def invert(self) -> "CycloBase":

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .as_extension import ASExtension, ExtElt
-from .best_f import NormalizeOutcome, OutcomeKind, classical_swan
 from .errors import (ConstructionAssertError, FixedElementError,
                      IdentityViolatedError, InequalityViolatedError,
                      NotAGeneratorError, UsageError)
@@ -186,22 +185,6 @@ def verify_s_inequality(b: ExtElt) -> SInequalityReport:
         raise InequalityViolatedError(
             f"s = {sample.s} < s' = {sample.s_prime} on a sampled generator")
     return SInequalityReport(b, sample.s, sample.s_prime)
-
-
-@dataclass(frozen=True)
-class DefectlessSwanReport:
-    f_star: SeriesElt
-    swan: GroupElt
-
-
-def hn_defectless_check(outcome: NormalizeOutcome,
-                        ext: ASExtension | None = None) -> DefectlessSwanReport:
-    """On a normalized defectless instance, the conductor -v(f*) must equal
-    v(N(1/alpha)); both routes are computed and compared exactly."""
-    if outcome.kind is not OutcomeKind.BEST_FOUND:
-        raise UsageError("the norm-conductor check needs a normalized generator")
-    swan = classical_swan(outcome.f_star, ext)
-    return DefectlessSwanReport(outcome.f_star, swan)
 
 
 # -- sample families ------------------------------------------------------------

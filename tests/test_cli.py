@@ -299,6 +299,14 @@ def test_nonpositive_precision_exits_one(capsys, argv, precision):
     assert "precision" in err
 
 
+@pytest.mark.parametrize("residue", ["gf:49", "ratfunc:49", "gf:32"])
+def test_field_size_without_a_built_in_field_names_the_sizes(capsys, residue):
+    code, out, err = run(capsys, "analyze-as", "X^(-1)", "--residue", residue)
+    assert code == 1
+    assert not out
+    assert "is not built in" in err and "q = 4, 8, 9, 16, 25, 27" in err
+
+
 @pytest.mark.parametrize("extra", [(), ("--p", "2")])
 def test_non_integer_field_size_exits_one(capsys, extra):
     code, out, err = run(capsys, "analyze-as", "X^(-1)", "--residue", "gf:x", *extra)

@@ -1,5 +1,8 @@
-from valuata.corpus import ENTRIES, FIELD_PRESETS, run_corpus
+import pytest
+
+from valuata.corpus import ENTRIES, FIELD_PRESETS, FieldSpec, run_corpus
 from valuata.dsl import parse_expr
+from valuata.errors import UsageError
 
 
 def test_every_entry_passes():
@@ -88,3 +91,9 @@ def test_product_identity_on_every_reported_invariants():
         assert product in (1, 2, 3)
         if r["got"].get("outcome") != "trivial":
             assert product > 1
+
+
+def test_unknown_group_name_is_a_usage_error():
+    with pytest.raises(UsageError, match="unknown value group 'foo'; "
+                                         "the groups are int, int-inv-p, rat, lex2"):
+        FieldSpec("series", "gf:2", "foo").build()

@@ -5,12 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from valuata.as_extension import ASExtension
-from valuata.best_f import normalize
+from valuata.best_f import classical_swan, normalize
 from valuata.dsl import parse_expr
 from valuata.errors import (FixedElementError, NotAGeneratorError, UsageError)
 from valuata.hahn_series import format_series
-from valuata.norm_ideal import (derivative_product, gamma_of,
-                                hn_defectless_check, lefschetz_val,
+from valuata.norm_ideal import (derivative_product, gamma_of, lefschetz_val,
                                 sample_generator, sample_unit_generator,
                                 s_inequality_suite, trace_lemma_suite,
                                 verify_s_inequality, verify_trace_lemma,
@@ -227,15 +226,8 @@ def test_s_inequality_can_fail_beyond_p2():
 
 def test_hn_defectless_check(gf2_laurent):
     out = normalize(parse_expr("X^(-6)", gf2_laurent))
-    report = hn_defectless_check(out)
-    assert report.swan == ge(3)
-    assert format_series(report.f_star) == "X^(-3)"
-
-
-def test_hn_defectless_check_needs_best(gf2_half):
-    out = normalize(parse_expr("X^(-1)", gf2_half), budget=4)
-    with pytest.raises(UsageError):
-        hn_defectless_check(out)
+    assert format_series(out.f_star) == "X^(-3)"
+    assert classical_swan(out.f_star) == ge(3)
 
 
 # -- property tests --------------------------------------------------------------

@@ -36,7 +36,7 @@ def ref_trim(cs):
 def ref_add(field, a, b):
     if len(a) < len(b):
         a, b = b, a
-    add = field.codes.add
+    add = field.ring.add
     out = [add(x, y) for x, y in zip(a, b)]
     if len(a) > len(b):
         return tuple(out) + a[len(b):]
@@ -44,7 +44,7 @@ def ref_add(field, a, b):
 
 
 def ref_neg(field, a):
-    return tuple([field.codes.neg(c) for c in a])
+    return tuple([field.ring.neg(c) for c in a])
 
 
 def ref_mul(field, a, b):
@@ -57,7 +57,7 @@ def ref_mul(field, a, b):
                 for j, y in enumerate(b, i):
                     out[j] += x * y
         return tuple([c % field.p for c in out])
-    add, _, mul, _, _ = field.codes
+    add, mul = field.ring.add, field.ring.mul
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b, i):
@@ -68,7 +68,7 @@ def ref_mul(field, a, b):
 def ref_scale(field, a, c):
     if not c:
         return ()
-    return tuple([field.codes.mul(x, c) for x in a])
+    return tuple([field.ring.mul(x, c) for x in a])
 
 
 def ref_divmod(field, a, b):
@@ -79,7 +79,7 @@ def ref_divmod(field, a, b):
         return (), a
     r = list(a)
     q = [0] * (len(a) - n)
-    lead_inv = field.codes.inv(b[-1])
+    lead_inv = field.ring.inv(b[-1])
     low = b[:n]
     if field.m == 1:
         p = field.p
@@ -90,7 +90,7 @@ def ref_divmod(field, a, b):
                 for i, c in enumerate(low, k):
                     r[i] -= f * c
         return tuple(q), ref_trim([c % p for c in r[:n]])
-    add, neg, mul, _, _ = field.codes
+    add, neg, mul = field.ring.add, field.ring.neg, field.ring.mul
     for k in range(len(q) - 1, -1, -1):
         f = mul(r[k + n], lead_inv)
         if f:
@@ -104,23 +104,28 @@ def ref_divmod(field, a, b):
 def ref_gcd(field, a, b):
     while b:
         a, b = b, ref_divmod(field, a, b)[1]
-    return ref_scale(field, a, field.codes.inv(a[-1])) if a else a
+    return ref_scale(field, a, field.ring.inv(a[-1])) if a else a
+
+
+def ref_power(field, c, e):
+    """The code of c**e, by square-and-multiply on GFElt."""
+    return (field.from_code(c) ** e).code
 
 
 def ref_frobenius(field, a):
     if not a:
         return a
-    p, power = field.p, field.codes.pow
+    p = field.p
     out = [0] * ((len(a) - 1) * p + 1)
-    out[::p] = [power(c, p) for c in a]
+    out[::p] = [ref_power(field, c, p) for c in a]
     return tuple(out)
 
 
 def ref_pth_root(field, a):
-    p, power = field.p, field.codes.pow
+    p = field.p
     if any(c for i, c in enumerate(a) if i % p):
         return None
-    return tuple([power(c, field.q // p) for c in a[::p]])
+    return tuple([ref_power(field, c, field.q // p) for c in a[::p]])
 
 
 # -- the reference RatFunc: reduced (num, den) pairs, den monic -----------------------
@@ -137,7 +142,7 @@ def ref_cancel(field, a, b):
 
 def ref_reduced(field, num, den):
     num, den = ref_cancel(field, num, den)
-    inv = field.codes.inv(den[-1])
+    inv = field.ring.inv(den[-1])
     return ref_scale(field, num, inv), ref_scale(field, den, inv)
 
 
@@ -171,7 +176,7 @@ def ref_frac_inv(field, x):
     num, den = x
     if not num:
         raise ZeroDivisionError("inverse of zero in a residue field")
-    lead_inv = field.codes.inv(num[-1])
+    lead_inv = field.ring.inv(num[-1])
     return ref_scale(field, den, lead_inv), ref_scale(field, num, lead_inv)
 
 

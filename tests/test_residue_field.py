@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from valuata.errors import UsageError
-from valuata.residue_field import GF, RatFunc
+from valuata.residue_field import DEFAULT_MODULI, GF, RatFunc
 
 F2 = GF(2)
 F3 = GF(3)
@@ -75,6 +75,75 @@ def test_artin_schreier_preimage_in_gf4():
 def test_nonprime_modulus_rejected():
     with pytest.raises(UsageError):
         GF(4)
+
+
+@pytest.mark.parametrize("p, m", [(7, 2), (2, 5), (3, 4)])
+def test_extension_without_a_built_in_modulus_names_the_sizes(p, m):
+    with pytest.raises(UsageError, match=rf"GF\({p ** m}\) is not built in.* "
+                                         r"q = 4, 8, 9, 16, 25, 27$"):
+        GF(p, m)
+
+
+def test_elements_of_different_fields_differ_and_do_not_combine():
+    assert GF(2).one() != GF(2, 2).one()
+    with pytest.raises(UsageError, match="different residue fields"):
+        GF(2).one() + GF(2, 2).one()
+
+
+# -- the code arithmetic against a schoolbook reference ----------------------------
+
+
+def _digits(field, a):
+    return [a // field.p ** i % field.p for i in range(field.m)]
+
+
+def _code(field, digits):
+    return sum(c % field.p * field.p ** i for i, c in enumerate(digits))
+
+
+def _schoolbook_mul(field, a, b):
+    """a*b: the digit vectors convolved, then long division by the modulus."""
+    p, m = field.p, field.m
+    prod = [0] * (2 * m - 1)
+    for i, x in enumerate(_digits(field, a)):
+        for j, y in enumerate(_digits(field, b)):
+            prod[i + j] += x * y
+    if m > 1:
+        modulus = DEFAULT_MODULI[field.q]
+        for top in range(2 * m - 2, m - 1, -1):
+            c = prod[top] % p
+            for j in range(m + 1):
+                prod[top - m + j] -= c * modulus[j]
+    assert not any(c % p for c in prod[m:])
+    return _code(field, prod[:m])
+
+
+def _schoolbook_pow(field, a, e):
+    out = 1
+    for _ in range(e):
+        out = _schoolbook_mul(field, out, a)
+    return out
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(5), GF(7)]
+                         + [GF(p, m) for p, m in ((2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3))],
+                         ids=lambda k: k.kind)
+def test_ring_agrees_with_schoolbook_arithmetic_on_every_code(field):
+    ring, p, q = field.ring, field.p, field.q
+    assert (ring.prime, ring.one) == (p if field.m == 1 else 0, 1)
+    for a in range(q):
+        da = _digits(field, a)
+        assert ring.neg(a) == _code(field, [-c for c in da])
+        for b in range(q):
+            db = _digits(field, b)
+            assert ring.add(a, b) == _code(field, [x + y for x, y in zip(da, db)])
+            assert ring.mul(a, b) == _schoolbook_mul(field, a, b)
+        assert ring.frob(a) == _schoolbook_pow(field, a, p)
+        assert _schoolbook_pow(field, ring.root(a), p) == a
+        if a:
+            assert _schoolbook_mul(field, a, ring.inv(a)) == 1
+        assert ring.pack(ring.unpack(a)) == a
+    assert [ring.from_int(n) for n in range(-p, p)] == [n % p for n in range(-p, p)]
 
 
 def test_ratfunc_arithmetic_reduces():

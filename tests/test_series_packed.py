@@ -21,7 +21,7 @@ from valuata.corpus import FIELD_PRESETS
 from valuata.dsl import parse_expr
 from valuata.errors import InsufficientPrecisionError, UsageError
 from valuata.hahn_series import SeriesField
-from valuata.residue_field import GF, RatFunc
+from valuata.residue_field import GF, GFElt, RatFunc
 from valuata.value_group import GroupElt, GroupKind, ValueGroup, ge
 
 GF2, GF3, GF4 = GF(2), GF(3), GF(2, 2)
@@ -337,23 +337,23 @@ def test_product_builds_no_boundary_objects(monkeypatch):
     one = field.residue.one()
     a = field.make([(ge(Fraction(k, 4)), one) for k in range(-20, 20)], None)
     b = field.make([(ge(Fraction(3 * k, 8)), one) for k in range(40)], ge(30))
-    counts = {"GroupElt": 0, "GF._mul": 0}
-    post_init, gf_mul = GroupElt.__post_init__, GF._mul
+    counts = {"GroupElt": 0, "GFElt.__mul__": 0}
+    post_init, gf_mul = GroupElt.__post_init__, GFElt.__mul__
 
     def counted_post_init(self):
         counts["GroupElt"] += 1
         post_init(self)
 
-    def counted_mul(self, x, y):
-        counts["GF._mul"] += 1
-        return gf_mul(self, x, y)
+    def counted_mul(self, other):
+        counts["GFElt.__mul__"] += 1
+        return gf_mul(self, other)
 
     monkeypatch.setattr(GroupElt, "__post_init__", counted_post_init)
-    monkeypatch.setattr(GF, "_mul", counted_mul)
+    monkeypatch.setattr(GFElt, "__mul__", counted_mul)
     product = a * b
     total = product + a * a
     counts_seen = dict(counts)
     monkeypatch.undo()
     assert len(product.terms) > 40 and total.has_terms()
     assert counts_seen["GroupElt"] <= 8
-    assert counts_seen["GF._mul"] == 0
+    assert counts_seen["GFElt.__mul__"] == 0
