@@ -123,7 +123,8 @@ def classify(f: SeriesElt) -> ASClassification:
 
     Sign, p-divisibility, the root and the witness h are read off the
     packed leading term (SeriesElt.lead_sign and lead_root), so a chain
-    step builds one GroupElt, the recorded valuation, and no GFElt; the
+    step builds one GroupElt, the recorded valuation, straight from its
+    packed numerator and denominator, and no Fraction or GFElt; the
     valuation-zero branch and the unit of a best-ii verdict use the
     boundary types.
     """

@@ -18,7 +18,8 @@ for n/den, and the bound is packed the same way.  den is the least common
 denominator of the exponents and the bound: always 1 over the integers, a
 power of p over Z[1/p], an lcm over the rationals.  lex2 keeps one
 denominator per coordinate and stores pairs of ints, which Python tuples
-compare lexicographically.  Since den is least, equal values have equal
+compare lexicographically: GroupElt's own layout (value_group), spread
+over a common denominator.  Since den is least, equal values have equal
 layouts, so equality and hashing compare the stored fields.  Coefficients
 are stored as the residue field stores its elements, integer codes over
 GF(q) and RatFuncElt objects over GF(q)(y), and every coefficient operation
@@ -28,12 +29,11 @@ field.  Where ``ring.prime`` is set, coefficients are GF(p) codes and a
 product accumulates unreduced int sums and reduces them once.
 Two operands with different denominators are first carried to the lcm.
 
-GroupElt/Fraction and GFElt are the boundary types.  They are converted
-where a value enters (make, and monomial, from_residue and zero_to on top of
-it; the arguments of shift, truncate, scale_residue and invert) or leaves
-(valuation, val_lower_bound, residue_class, the ``terms`` and ``precision``
-views, format_series), once per call; no arithmetic inside the layer builds
-either.  The views are rebuilt on every access.
+GroupElt and GFElt are the boundary types.  A GroupElt enters by its num
+and den (make, shift, truncate, invert) and leaves through GroupElt.packed
+(valuation, val_lower_bound, the ``terms`` and ``precision`` views); a GFElt
+is packed and unpacked there too.  No arithmetic inside the layer builds
+either, or a rational.  The views are rebuilt on every access.
 
 Leading-term queries.  lead_sign, lead_root and rises_above answer what one
 step of best_f.classify and improve asks, on the packed leading exponent
@@ -59,13 +59,13 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd
 
 from .errors import InsufficientPrecisionError, UsageError, ZeroToPrecisionError
 from .residue_field import Ring
-from .value_group import INFINITY, GroupElt, GroupKind, ValueGroup
+from .value_group import (INFINITY, GroupElt, GroupKind, ValueGroup, _plus, _times,
+                          _to_common, divide_by_p)
 
 @dataclass(frozen=True)
 class SeriesField:
@@ -113,13 +113,14 @@ class SeriesField:
         pack = self.ring.pack
         values, coeffs = [], []
         for exp, coeff in terms:
-            check(exp)
-            values.append(exp.parts)
+            values.append(check(exp))
             coeffs.append(pack(coeff))
         if precision is not None:
-            check(precision)
-            values.append(precision.parts)
-        nums, den = _numerators(values, self.group.rank)
+            values.append(check(precision))
+        den = self._unit
+        for g in values:
+            den = _to_common(den, g.den)[0]
+        nums = [_times(g.num, _to_common(g.den, den)[1]) for g in values]
         bound = nums.pop() if precision is not None else None
         add = self.ring.add
         merged = {}
@@ -179,13 +180,13 @@ class SeriesElt:
     @property
     def terms(self) -> tuple:
         """(GroupElt, coefficient) pairs in increasing exponent order."""
-        den = self._den
+        den, value = self._den, GroupElt.packed
         unpack = self.field.ring.unpack
-        return tuple([(_value(e, den), unpack(c)) for e, c in zip(self._exps, self._coeffs)])
+        return tuple([(value(e, den), unpack(c)) for e, c in zip(self._exps, self._coeffs)])
 
     @property
     def precision(self) -> GroupElt | None:
-        return None if self._bound is None else _value(self._bound, self._den)
+        return None if self._bound is None else GroupElt.packed(self._bound, self._den)
 
     # -- basic queries -----------------------------------------------------
 
@@ -202,7 +203,7 @@ class SeriesElt:
         is only known up to its precision bound.
         """
         if self._exps:
-            return _value(self._exps[0], self._den)
+            return GroupElt.packed(self._exps[0], self._den)
         if self._bound is None:
             return INFINITY
         raise ZeroToPrecisionError(bound=self.precision)
@@ -210,7 +211,7 @@ class SeriesElt:
     def val_lower_bound(self) -> GroupElt:
         """A certified lower bound for the valuation; requires a finite answer."""
         if self._exps:
-            return _value(self._exps[0], self._den)
+            return GroupElt.packed(self._exps[0], self._den)
         if self._bound is not None:
             return self.precision
         raise UsageError("exact zero has no finite valuation bound")
@@ -226,29 +227,18 @@ class SeriesElt:
 
     def lead_root(self):
         """(divides, root) for the leading term c*X^v: divides says whether
-        v/p lies in the group (as ValueGroup.is_p_divisible decides), root is
-        the monomial r*X^(v/p) with r**p = c, or None when v/p leaves the
-        group or c has no p-th root.  Needs a visible term."""
+        v/p lies in the group (divide_by_p, as in ValueGroup.is_p_divisible),
+        root is the monomial r*X^(v/p) with r**p = c, or None when v/p leaves
+        the group or c has no p-th root.  Needs a visible term."""
         field = self.field
-        p = field.p
-        n, den = self._exps[0], self._den
-        # n/(p*den): divide n where p divides it, else multiply den
-        if type(den) is int:
-            if n % p == 0:
-                n //= p
-            elif field.group.kind is GroupKind.INT:
-                return False, None
-            else:
-                den *= p
-        else:
-            (a, b), (da, db) = n, den
-            a, da = (a // p, da) if a % p == 0 else (a, da * p)
-            b, db = (b // p, db) if b % p == 0 else (b, db * p)
-            n, den = (a, b), (da, db)
+        half = divide_by_p(self._exps[0], self._den, field.p,
+                           field.group.kind is GroupKind.INT)
+        if half is None:
+            return False, None
         r = field.ring.root(self._coeffs[0])
         if r is None:
             return True, None
-        return True, _canonical(field, (n,), (r,), den, None)
+        return True, _canonical(field, (half[0],), (r,), half[1], None)
 
     def rises_above(self, other: "SeriesElt") -> bool:
         """Whether the least visible exponent of self, or its bound when none
@@ -357,7 +347,7 @@ class SeriesElt:
     def shift(self, exp: GroupElt) -> "SeriesElt":
         """Multiply by the monomial X^exp; exact on terms and bound alike."""
         self.field.group.check_member(exp)
-        return self._shifted(*_packed(exp))
+        return self._shifted(exp.num, exp.den)
 
     def _shifted(self, n, d) -> "SeriesElt":
         """Shift by the packed exponent n/d."""
@@ -367,7 +357,7 @@ class SeriesElt:
 
     def truncate(self, precision: GroupElt) -> "SeriesElt":
         self.field.group.check_member(precision)
-        return self._cut(*_packed(precision))
+        return self._cut(precision.num, precision.den)
 
     def _cut(self, n, d) -> "SeriesElt":
         """Truncate at the packed bound n/d (or at the own bound if lower)."""
@@ -403,18 +393,10 @@ class SeriesElt:
         p = field.p
         frob = field.ring.frob
         coeffs = tuple([frob(c) for c in self._coeffs])
-        # p*n/den: where p divides den, divide den (it stays least) and keep
-        # the numerators; elsewhere multiply the numerators
-        den = self._den
-        if type(den) is int:
-            if den % p == 0:
-                return SeriesElt(field, self._exps, coeffs, den // p, self._bound)
-            exps, bound = _affine(self._exps, self._bound, p)
-            return SeriesElt(field, exps, coeffs, den, bound)
-        k = tuple([1 if d % p == 0 else p for d in den])
+        # p*n/den, carried to the least denominator
+        k = p if type(self._den) is int else (p, p)
         exps, bound = _affine(self._exps, self._bound, k)
-        den = tuple([d // p if d % p == 0 else d for d in den])
-        return SeriesElt(field, exps, coeffs, den, bound)
+        return _canonical(field, exps, coeffs, self._den, bound)
 
     def pth_root(self) -> "SeriesElt":
         """Inverse of frobenius where it exists; exponents and the bound
@@ -422,7 +404,7 @@ class SeriesElt:
         field = self.field
         p = field.p
         root = field.ring.root
-        exps, bound, den = self._exps, self._bound, self._den
+        exps, bound = self._exps, self._bound
         # only the integers refuse an exponent (den is 1 there); the first
         # failure in term order is the one reported
         integers = field.group.kind is GroupKind.INT
@@ -436,25 +418,9 @@ class SeriesElt:
             coeffs.append(r)
         if integers and bound is not None and bound % p:
             raise UsageError("precision bound does not divide by p in the group")
-        # n/(p*den): divide the numerators where p divides all of them (den
-        # stays least), else multiply den
-        if type(den) is int:
-            if all(e % p == 0 for e in exps) and (bound is None or bound % p == 0):
-                exps, bound = _affine(exps, bound, 1, 0, p)
-            else:
-                den *= p
-        else:
-            k, div = [1, 1], [1, 1]
-            for i in (0, 1):
-                if all(e[i] % p == 0 for e in exps) and (bound is None or bound[i] % p == 0):
-                    div[i] = p
-                else:
-                    k[i] = p
-            exps, bound = _affine(exps, bound, (1, 1), (0, 0), tuple(div))
-            den = (den[0] * k[0], den[1] * k[1])
-        # dividing by p keeps the order, and a root of a nonzero coefficient
-        # is nonzero
-        return SeriesElt(field, exps, tuple(coeffs), den, bound)
+        # n/(p*den), carried to the least denominator; dividing by p keeps
+        # the order, and a root of a nonzero coefficient is nonzero
+        return _canonical(field, exps, coeffs, _times(self._den, p), bound)
 
     def invert(self, target: GroupElt | None = None) -> "SeriesElt":
         """Multiplicative inverse, truncated so that self * result is
@@ -491,7 +457,7 @@ class SeriesElt:
                 if e[0] == 0:
                     raise InsufficientPrecisionError(
                         "inverse support is infinite below the precision bound")
-        rel = field.one()._cut(*_packed(target))
+        rel = field.one()._cut(target.num, target.den)
         if self._bound is not None:
             rel = rel._cut(_plus(self._bound, back), den)
         rel_bound = rel._bound, rel._den
@@ -513,59 +479,6 @@ class SeriesElt:
 
 
 # -- packed exponents: an int over an int denominator, or a pair over a pair ----
-
-
-def _numerators(values, rank: int):
-    """Numerators of a list of GroupElt parts over their least common
-    denominator, and that denominator."""
-    if rank == 1:
-        den = lcm(*[f.denominator for (f,) in values])
-        return [f.numerator * (den // f.denominator) for (f,) in values], den
-    d0 = lcm(*[a.denominator for a, _ in values])
-    d1 = lcm(*[b.denominator for _, b in values])
-    return [(a.numerator * (d0 // a.denominator), b.numerator * (d1 // b.denominator))
-            for a, b in values], (d0, d1)
-
-
-def _packed(g: GroupElt):
-    """One value as (numerator, least denominator)."""
-    if len(g.parts) == 1:
-        f = g.parts[0]
-        return f.numerator, f.denominator
-    a, b = g.parts
-    return (a.numerator, b.numerator), (a.denominator, b.denominator)
-
-
-def _value(n, den) -> GroupElt:
-    if den == 1:
-        return GroupElt((Fraction(n),))
-    if type(den) is int:
-        return GroupElt((Fraction(n, den),))
-    return GroupElt((Fraction(n[0], den[0]), Fraction(n[1], den[1])))
-
-
-def _plus(x, y):
-    if type(x) is int:
-        return x + y
-    return (x[0] + y[0], x[1] + y[1])
-
-
-def _times(x, k):
-    """x times k: an int, or coordinatewise for pairs (k an int or a pair)."""
-    if type(x) is int:
-        return x * k
-    if type(k) is int:
-        return (x[0] * k, x[1] * k)
-    return (x[0] * k[0], x[1] * k[1])
-
-
-def _to_common(da, db):
-    """The least common denominator d of da and db, and d/da, d/db."""
-    if type(da) is int:
-        d = lcm(da, db)
-        return d, d // da, d // db
-    d = (lcm(da[0], db[0]), lcm(da[1], db[1]))
-    return d, (d[0] // da[0], d[1] // da[1]), (d[0] // db[0], d[1] // db[1])
 
 
 def _affine(exps, bound, k, n=None, q=1):

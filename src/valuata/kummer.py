@@ -67,6 +67,11 @@ class CycloField:
         return self.m * self.p
 
     def residue(self):
+        """GF(p), or GF(p)(y) with_y; one instance per field."""
+        return self._residue
+
+    @cached_property
+    def _residue(self):
         base = GF(self.p)
         return RatFunc(base) if self.with_y else base
 

@@ -26,7 +26,6 @@ images under sigma - 1, whose increments are recorded.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .as_extension import ASExtension, ExtElt
 from .errors import (ConstructionAssertError, FixedElementError,
@@ -235,7 +234,7 @@ def sample_unit_generator(ext: ASExtension, rng, hi: int = 3) -> ExtElt:
     p = ext.p
     base = ext.base
     v_alpha = ext.f.valuation().divide(p)
-    drop = max(max(-c for c in v_alpha.parts), Fraction(0))
+    drop = max(0, *[-c for c in v_alpha.parts])
     coeffs = [base.one()]
     forced = rng.randrange(1, p)
     for i in range(1, p):

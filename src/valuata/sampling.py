@@ -17,8 +17,7 @@ from .value_group import GroupElt, GroupKind, ValueGroup
 def _coerce_bound(group: ValueGroup, x) -> GroupElt:
     if isinstance(x, GroupElt):
         return x
-    v = Fraction(x)
-    return GroupElt((v,) * group.rank)
+    return GroupElt((x,) * group.rank)
 
 
 def random_group_elt(group: ValueGroup, rng: Random, lo, hi,
@@ -38,7 +37,7 @@ def random_group_elt(group: ValueGroup, rng: Random, lo, hi,
         second = _random_fraction(rng, lo.parts[1], hi.parts[1], 2 ** max_denom_pow)
         return GroupElt((first, second))
     if group.kind is GroupKind.INT:
-        return GroupElt((Fraction(rng.randint(int(lo.parts[0]), int(hi.parts[0]))),))
+        return GroupElt((rng.randint(int(lo.parts[0]), int(hi.parts[0])),))
     if group.kind is GroupKind.INT_INV_P:
         value = _random_fraction(rng, lo.parts[0], hi.parts[0],
                                  group.p ** max_denom_pow, p_power=group.p)

@@ -3,6 +3,7 @@
 from random import Random
 
 from valuata.sampling import random_series
+from valuata.value_group import GroupElt
 
 
 def random_shift_probe(field, rng: Random, lo=-4, hi=4, max_terms: int = 3):
@@ -28,3 +29,20 @@ def is_base(x) -> bool:
     """An extension element with no visible term above the constant
     coefficient."""
     return all(not c.has_terms() for c in x.coeffs[1:])
+
+
+def count_group_elts(monkeypatch, counts, key="GroupElt"):
+    """Add one to counts[key] for every GroupElt built from now on: through
+    the rational constructor or GroupElt.packed, the only two ways."""
+    init, packed = GroupElt.__init__, GroupElt.packed.__func__
+
+    def counted_init(self, parts):
+        counts[key] += 1
+        init(self, parts)
+
+    def counted_packed(cls, num, den):
+        counts[key] += 1
+        return packed(cls, num, den)
+
+    monkeypatch.setattr(GroupElt, "__init__", counted_init)
+    monkeypatch.setattr(GroupElt, "packed", classmethod(counted_packed))

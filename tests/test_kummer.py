@@ -47,6 +47,13 @@ def test_residue_of_unit(q3_zeta):
     assert str(u.residue_class()) == "2"
 
 
+@pytest.mark.parametrize("with_y", [False, True])
+def test_residue_field_is_built_once_per_field(with_y):
+    field = CycloField(3, with_y=with_y)
+    assert field.residue() is field.residue()
+    assert field.residue().p == 3
+
+
 def test_residue_after_p_division(q3_zeta):
     # (1 + z^3 - 1) / pi^3 = z^3/z^3 = 1 exactly, so the residue is 1;
     # the leading coefficient 3^1 crosses one p-division, which flips the

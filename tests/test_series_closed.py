@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import count_group_elts
 from valuata.best_f import normalize
 from valuata.corpus import FIELD_PRESETS
 from valuata.dsl import parse_expr
@@ -258,9 +259,9 @@ def test_membership_checks_grow_linearly_with_the_chain(monkeypatch):
                                          ("gf2-lex2", "X^((-1, 0))")])
 def test_normalize_steps_stay_on_packed_values(monkeypatch, preset, expr):
     """Each step of a 300-step defect chain builds at most two GroupElt (the
-    valuation classify records and the trajectory entry), no GFElt, and asks
-    the group nothing: sign, p-divisibility, root, witness and the rise are
-    read off the packed leading term."""
+    valuation classify records and the trajectory entry), no Fraction and
+    no GFElt, and asks the group nothing: sign, p-divisibility, root,
+    witness and the rise are read off the packed leading term."""
     field = FIELD_PRESETS[preset].build()
     f = parse_expr(expr, field)
     counts = Counter()
@@ -274,7 +275,8 @@ def test_normalize_steps_stay_on_packed_values(monkeypatch, preset, expr):
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    counting(GroupElt, "__init__", "GroupElt")
+    count_group_elts(monkeypatch, counts)
+    counting(Fraction, "__new__", "Fraction")
     counting(GFElt, "__init__", "GFElt")
     counting(ValueGroup, "contains", "contains")
     outcome = normalize(f, 300)
@@ -284,5 +286,6 @@ def test_normalize_steps_stay_on_packed_values(monkeypatch, preset, expr):
     # every improvement is followed by one more classification
     steps = outcome.steps + 1
     assert counts["GroupElt"] <= 2 * steps
+    assert counts["Fraction"] == 0
     assert counts["GFElt"] == 0
     assert counts["contains"] == 0

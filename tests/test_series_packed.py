@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import count_group_elts
 from valuata.as_extension import ASExtension
 from valuata.corpus import FIELD_PRESETS
 from valuata.dsl import parse_expr
@@ -338,17 +339,13 @@ def test_product_builds_no_boundary_objects(monkeypatch):
     a = field.make([(ge(Fraction(k, 4)), one) for k in range(-20, 20)], None)
     b = field.make([(ge(Fraction(3 * k, 8)), one) for k in range(40)], ge(30))
     counts = {"GroupElt": 0, "GFElt.__mul__": 0}
-    post_init, gf_mul = GroupElt.__post_init__, GFElt.__mul__
-
-    def counted_post_init(self):
-        counts["GroupElt"] += 1
-        post_init(self)
+    gf_mul = GFElt.__mul__
 
     def counted_mul(self, other):
         counts["GFElt.__mul__"] += 1
         return gf_mul(self, other)
 
-    monkeypatch.setattr(GroupElt, "__post_init__", counted_post_init)
+    count_group_elts(monkeypatch, counts)
     monkeypatch.setattr(GFElt, "__mul__", counted_mul)
     product = a * b
     total = product + a * a

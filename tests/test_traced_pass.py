@@ -1,8 +1,9 @@
-"""One traced ferocious pass at self-test size, with the benchmark's tracer.
+"""Traced passes at self-test size, with the benchmark's tracer.
 
-``perfbench/tracer.py`` wraps ``poly_gcd`` in every module that binds it and
-reads ``len()`` of gcds and of RatFunc numerators and denominators.  A change
-of representation that hides the gcd calls from the wrapper, or that the
+``perfbench/tracer.py`` wraps ``poly_gcd`` in every module that binds it,
+reads ``len()`` of gcds and of RatFunc numerators and denominators, and
+wraps ``GroupElt``'s arithmetic and comparisons on the class.  A change of
+representation that hides these calls from the wrappers, or that the
 counters can no longer read, fails here before it fails the benchmark.  The
 tracer is installed and removed directly, so nothing is written to
 ``perfbench/out/``.
@@ -24,12 +25,13 @@ def load(name):
     return module
 
 
-def test_traced_ferocious_pass():
+def traced_pass(workload):
+    """Run one traced pass of the workload at self-test size; return the
+    labels of the failed operations and the per-layer metrics."""
     tracer, workloads = load("tracer"), load("workloads")
-    built = workloads.build_fields("ferocious")
-    ops = workloads.generate("ferocious", built, 0, 0.1)
+    built = workloads.build_fields(workload)
+    ops = workloads.generate(workload, built, 0, 0.1)
     assert ops
-    gcd = residue_field.poly_gcd
     tr = tracer.Tracer()
     tr.install()
     try:
@@ -37,9 +39,21 @@ def test_traced_ferocious_pass():
                   if not workloads.check_op(op, tr.op_span(op.label, workloads.run_op, op))[0]]
     finally:
         tr.uninstall()
+    return failed, tracer.layer_metrics(tr)
+
+
+def test_traced_ferocious_pass():
+    gcd = residue_field.poly_gcd
+    failed, metrics = traced_pass("ferocious")
     assert residue_field.poly_gcd is gcd
     assert failed == []
-    metrics = tracer.layer_metrics(tr)
     assert metrics["residue_field.poly_gcd.calls"][0] > 0
     assert metrics["residue_field.RatFunc.mul.calls"][0] > 0
     assert metrics["residue_field.RatFunc.max_deg_y"][0] > 0
+
+
+def test_traced_dense_groups_pass():
+    failed, metrics = traced_pass("dense-groups")
+    assert failed == []
+    assert metrics["value_group.GroupElt.arith.calls"][0] > 0
+    assert metrics["value_group.GroupElt.compare.calls"][0] > 0

@@ -131,3 +131,114 @@ def test_is_p_power_agrees_with_repeated_division(p):
 def test_is_p_power_of_a_multiple(m, k, p):
     n = m * p ** k
     assert _is_p_power(n, p) == (_is_p_power_by_division(m, p))
+
+
+# -- the packed layout against a Fraction-tuple reference ----------------------------
+
+KINDS = [ValueGroup(GroupKind.INT, 2), ValueGroup(GroupKind.INT_INV_P, 3),
+         ValueGroup(GroupKind.RAT, 5), ValueGroup(GroupKind.LEX2, 2)]
+
+
+@st.composite
+def reference(draw, group):
+    """A value of the group as the reference's tuple of Fractions."""
+    def coordinate():
+        n = draw(st.integers(-10**6, 10**6))
+        if group.kind is GroupKind.INT:
+            return Fraction(n)
+        if group.kind is GroupKind.INT_INV_P:
+            return Fraction(n, group.p ** draw(st.sampled_from((0, 1, 2, 7, 64))))
+        return Fraction(n, draw(st.sampled_from((1, 2, 3, 6, 7, 2 ** 70))))
+    return tuple(coordinate() for _ in range(group.rank))
+
+
+cases = st.sampled_from(KINDS).flatmap(
+    lambda g: st.tuples(st.just(g), reference(g), reference(g), st.integers(-12, 12)))
+
+
+def ref_str(ref):
+    return str(ref[0]) if len(ref) == 1 else "({}, {})".format(*ref)
+
+
+def built_every_way(ref):
+    """The same value from the rational constructor, ge, text, and packed
+    fields that are not least."""
+    num = tuple(f.numerator * 6 for f in ref)
+    den = tuple(f.denominator * 6 for f in ref)
+    packed = GroupElt.packed(num[0], den[0]) if len(ref) == 1 else GroupElt.packed(num, den)
+    return [GroupElt(ref), ge(*ref), GroupElt([str(f) for f in ref]),
+            parse_group_elt(ref_str(ref)), packed]
+
+
+def agrees(value, ref):
+    """value is the reference value, in its least layout."""
+    assert value.parts == ref
+    assert value == GroupElt(ref) and hash(value) == hash(GroupElt(ref))
+    assert str(value) == ref_str(ref)
+
+
+@given(cases)
+def test_packed_values_agree_with_fraction_tuples(case):
+    group, ra, rb, n = case
+    ways = built_every_way(ra)
+    for g in ways:
+        agrees(g, ra)
+        assert g.rank == group.rank and group.contains(g)
+        assert parse_group_elt(str(g)) == g
+    assert len({hash(g) for g in ways}) == 1
+    a, b = ways[-1], GroupElt(rb)
+    agrees(a + b, tuple(x + y for x, y in zip(ra, rb)))
+    agrees(a - b, tuple(x - y for x, y in zip(ra, rb)))
+    agrees(-a, tuple(-x for x in ra))
+    agrees(a.scale(n), tuple(x * n for x in ra))
+    if n:
+        agrees(a.divide(n), tuple(x / n for x in ra))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            a.divide(n)
+    assert a.is_zero() == all(x == 0 for x in ra)
+    assert (a < b, a <= b, a > b, a >= b, a == b) == (ra < rb, ra <= rb, ra > rb,
+                                                    ra >= rb, ra == rb)
+    assert (a < INFINITY, a <= INFINITY, a > INFINITY, a >= INFINITY) == (True, True,
+                                                                          False, False)
+    assert a != INFINITY and INFINITY != a and INFINITY > a and not INFINITY < a
+
+
+@given(cases)
+def test_is_p_divisible_agrees_with_fraction_tuples(case):
+    group, ra, _, _ = case
+    half = tuple(x / group.p for x in ra)
+    got = group.is_p_divisible(GroupElt(ra))
+    if group.kind is GroupKind.INT and half[0].denominator != 1:
+        assert got is None
+    else:
+        agrees(got, half)
+
+
+def test_comparisons_refuse_mixed_ranks_and_non_values():
+    for op in ("__lt__", "__le__", "__gt__", "__ge__", "__add__", "__sub__"):
+        with pytest.raises(UsageError):
+            getattr(ge(1), op)(ge(1, 2))
+        with pytest.raises(TypeError):
+            getattr(ge(1), op)(1)
+    assert ge(1) != ge(1, 0) and ge(1) != 1
+
+
+def test_arithmetic_comparison_hash_and_membership_build_no_fraction(monkeypatch):
+    pairs = [(group, GroupElt((Fraction(-5, 9),) * group.rank),
+              GroupElt((Fraction(7, 3),) * group.rank)) for group in KINDS[2:]]
+    pairs += [(KINDS[0], ge(4), ge(-3)), (KINDS[1], ge(Fraction(1, 9)), ge(2))]
+    built = []
+    new = Fraction.__new__
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return new(*args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    results = [[a + b, a - b, -a, a.scale(-3), a.divide(-4), a.is_zero(), hash(a),
+                a < b, a <= b, a > b, a >= b, a == b, a < INFINITY,
+                group.contains(a), group.check_member(b), group.is_p_divisible(a)]
+               for group, a, b in pairs]
+    monkeypatch.undo()
+    assert len(results) == 4 and built == []
