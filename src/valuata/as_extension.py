@@ -3,15 +3,31 @@
 Elements are coefficient vectors of length p over the base series field in
 the basis 1, alpha, ..., alpha**(p-1); products reduce through the defining
 equation.  The Galois action sends alpha to alpha + t for t = 0, ..., p-1,
-norm and trace are computed as conjugate products and sums, and both are
-cross-checkable against the determinant and trace of the multiplication
-matrix, which is computed by Berkowitz's division-free algorithm and shares
-nothing with the conjugate route beyond ring arithmetic.
+and norm and trace are computed as conjugate products and sums.  The
+product sigma(a) * ... * sigma^(p-1)(a) that norm and invert share is built
+by doubling (Itoh and Tsujii, Inform. and Comput. 78, 1988): with P_k the
+product of the first k conjugates, P_2k = P_k * sigma^k(P_k) and
+P_(k+1) = P_k * sigma^(k+1)(a), so it takes floor(log2(p-1)) +
+popcount(p-1) - 1 extension products instead of p - 2.  The tests
+cross-check these norms and traces against the determinant and trace of
+the multiplication matrix (tests/routes.py).
 
-Valuations on the extension are computed through the norm: the valuation of
-a is v(N(a))/p, living in the p-divided hull of the base value group.
-valuation_L needs only the leading term of N(a), so it first computes the
-norm of a with every coordinate cut at m + delta, m the least valuation
+The valuation of a is v(N(a))/p, living in the p-divided hull of the base
+value group.  When f is best (best_f.classify, decided once per extension),
+1, alpha, ..., alpha**(p-1) is a valuation basis: the values i*v(f)/p lie in
+distinct cosets of the group (best-i), or the residues of the normalized
+powers of alpha are linearly independent over the residue field (best-ii,
+best-iii).  So v_L(sum a_i alpha**i) = min_i (v(a_i) + i*v(alpha)) with
+v(alpha) = v(f)/p, exactly (Engler and Prestel, Valued Fields, ch. 3).
+valuation_L takes m, the least v(a_i) + i*v(alpha) over the coordinates
+with a visible term, and answers m when every coordinate that is zero to
+its bound B_i has B_i + i*v(alpha) >= m, since such a coordinate cannot
+fall below m.  That answer is certified even where N(a) is zero to
+precision: it holds for every element the bounds allow.
+
+Otherwise, and for any f that is not best, valuation_L reads the valuation
+off the norm.  It needs only the leading term of N(a), so it first computes
+the norm of a with every coordinate cut at m + delta, m the least valuation
 bound among the coordinates (relaxed evaluation: van der Hoeven, "Relax,
 but don't be too lazy", 2002).  Cutting a coordinate only lowers its
 precision bound, and series arithmetic carries bounds honestly, so every
@@ -28,9 +44,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (ResidualAlphaComponentError, TrivialExtensionError,
-                     UsageError)
+                     UsageError, ValuataError)
 from .hahn_series import SeriesElt, SeriesField
 from .value_group import GroupElt, ge
 
@@ -83,6 +100,18 @@ class ASExtension:
         if self.trivial:
             raise TrivialExtensionError(
                 f"the defining equation splits over the base: {self._trivial}")
+
+    @cached_property
+    def basis_v_alpha(self) -> GroupElt | None:
+        """v(alpha) = v(f)/p when f is best, so that the powers of alpha
+        form a valuation basis (module docstring); None otherwise, and when
+        classify cannot decide."""
+        from .best_f import classify    # best_f imports this module
+        try:
+            c = classify(self.f)
+        except ValuataError:
+            return None
+        return c.valuation.divide(self.p) if c.is_best else None
 
     def from_coeffs(self, coeffs) -> "ExtElt":
         cs = list(coeffs)
@@ -190,13 +219,21 @@ class ExtElt:
                     f"{what} kept a visible alpha component: {c}")
         return value.coeffs[0]
 
+    def _conjugate_product(self) -> "ExtElt":
+        """sigma(a) * ... * sigma^(p-1)(a), by doubling (module docstring)."""
+        acc, k = self.sigma(1), 1
+        for bit in bin(self.ext.p - 1)[3:]:
+            acc = acc * acc.sigma(k)
+            k *= 2
+            if bit == "1":
+                k += 1
+                acc = acc * self.sigma(k)
+        return acc
+
     def norm(self) -> SeriesElt:
         """Product of the p conjugates; lands in the base field."""
         self.ext.require_nontrivial()
-        acc = self
-        for i in range(1, self.ext.p):
-            acc = acc * self.sigma(i)
-        return self._symmetric_part(acc, "norm")
+        return self._symmetric_part(self * self._conjugate_product(), "norm")
 
     def trace(self) -> SeriesElt:
         """Sum of the p conjugates; lands in the base field."""
@@ -206,34 +243,23 @@ class ExtElt:
             acc = acc + self.sigma(i)
         return self._symmetric_part(acc, "trace")
 
-    def multiplication_matrix(self):
-        """Rows i, columns j: coefficient of alpha**i in self * alpha**j."""
-        ext = self.ext
-        cols = []
-        power = ext.one()
-        alpha = ext.alpha()
-        for _ in range(ext.p):
-            cols.append((self * power).coeffs)
-            power = power * alpha
-        return [tuple(cols[j][i] for j in range(ext.p)) for i in range(ext.p)]
-
-    def norm_via_matrix(self) -> SeriesElt:
-        """Determinant of the multiplication matrix (Berkowitz)."""
-        self.ext.require_nontrivial()
-        return _det(self.ext.base, self.multiplication_matrix())
-
-    def trace_via_matrix(self) -> SeriesElt:
-        self.ext.require_nontrivial()
-        m = self.multiplication_matrix()
-        acc = self.ext.base.zero()
-        for i in range(self.ext.p):
-            acc = acc + m[i][i]
-        return acc
-
     def valuation_L(self) -> GroupElt:
-        """Valuation in the p-divided hull of the base group: v(N(a))/p,
-        read off the norm of a with truncated coordinates when that norm
-        shows a term (module docstring), else off the full norm."""
+        """Valuation in the p-divided hull of the base group: the least
+        v(a_i) + i*v(alpha) when f is best and the bounds certify it, else
+        v(N(a))/p, read off the norm of a with truncated coordinates when
+        that norm shows a term, else off the full norm (module docstring)."""
+        v_alpha = self.ext.basis_v_alpha
+        if v_alpha is not None:
+            seen, hidden = [], []
+            for i, c in enumerate(self.coeffs):
+                if c.has_terms():
+                    seen.append(c.valuation() + v_alpha.scale(i))
+                elif not c.is_exact_zero():
+                    hidden.append(c.precision + v_alpha.scale(i))
+            if seen:
+                m = min(seen)
+                if all(b >= m for b in hidden):
+                    return m
         p = self.ext.p
         live = [c for c in self.coeffs if not c.is_exact_zero()]
         if live:
@@ -259,11 +285,8 @@ class ExtElt:
     def invert(self, target: GroupElt | None = None) -> "ExtElt":
         """Inverse: product of the other conjugates over the norm."""
         self.ext.require_nontrivial()
-        acc = self.sigma(1)
-        for i in range(2, self.ext.p):
-            acc = acc * self.sigma(i)
-        full = acc * self
-        n = self._symmetric_part(full, "norm")
+        acc = self._conjugate_product()
+        n = self._symmetric_part(acc * self, "norm")
         return acc.scale_base(n.invert(target))
 
     def __str__(self):
@@ -279,33 +302,3 @@ class ExtElt:
     def __repr__(self):
         return f"ExtElt({self})"
 
-
-def _det(base: SeriesField, rows) -> SeriesElt:
-    """Determinant by Berkowitz's division-free algorithm, O(n**4) ring
-    operations.
-
-    poly holds the characteristic polynomial det(x - A_r) of the leading
-    r x r block, highest degree first.  Bordering A_r by row R, column C and
-    corner a multiplies it by the lower-triangular Toeplitz matrix whose
-    first column is 1, -a, -R C, -R A_r C, ..., -R A_r**(r-1) C.
-    """
-    n = len(rows)
-    poly = [base.one()]
-    for r in range(n):
-        col = [base.one(), -rows[r][r]]
-        vec = [rows[i][r] for i in range(r)]
-        for k in range(r):
-            if k:
-                vec = [_dot(base, rows[i][:r], vec) for i in range(r)]
-            col.append(-_dot(base, rows[r][:r], vec))
-        poly = [_dot(base, [col[i - j] for j in range(i + 1)], poly)
-                for i in range(r + 2)]
-    # the constant term of det(x - A) is (-1)**n det(A)
-    return poly[n] if n % 2 == 0 else -poly[n]
-
-
-def _dot(base: SeriesField, xs, ys) -> SeriesElt:
-    acc = base.zero()
-    for x, y in zip(xs, ys):
-        acc = acc + x * y
-    return acc

@@ -20,7 +20,9 @@ Everything is certified arithmetic: identities are asserted to the carried
 precision and raise rather than report a silent pass.  Each sample computes
 N(y) once: it certifies y**p - y and gives v_L(y) = v(N(y))/p.  The other
 valuations are those of the displacement and, for p > 2, of gamma and its
-images under sigma - 1, whose increments are recorded.
+images under sigma - 1, whose increments are recorded.  valuation_L reads
+them off the valuation basis when f is best, with no norm, and off
+truncated norms otherwise (as_extension).
 """
 
 from __future__ import annotations

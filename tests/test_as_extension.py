@@ -4,15 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from valuata.as_extension import ASExtension
+from valuata.as_extension import ASExtension, ExtElt
 from valuata.corpus import FieldSpec
 from valuata.dsl import parse_expr
-from valuata.errors import TrivialExtensionError
+from valuata.errors import TrivialExtensionError, ValuataError
 from valuata.hahn_series import agrees_to_precision
-from valuata.sampling import random_ext_elt
+from valuata.sampling import random_ext_elt, random_group_elt
 from valuata.value_group import ge
 
 from helpers import is_base
+from routes import (norm_via_matrix, sequential_invert, sequential_norm,
+                    trace_via_matrix)
 
 seeds = st.integers(min_value=0, max_value=10**9)
 
@@ -77,14 +79,14 @@ def test_norm_dual_route_on_witnesses(gf2_laurent, gf3_laurent):
                  ext.from_base(ext.base.monomial(ext.base.residue.one(),
                                                  ge(-2))) + ext.alpha()]
         for x in items:
-            assert agrees_to_precision(x.norm(), x.norm_via_matrix())
+            assert agrees_to_precision(x.norm(), norm_via_matrix(x))
 
 
 def test_trace_dual_route(gf3_laurent, rng):
     ext = build(gf3_laurent, "X^(-1)")
     for _ in range(5):
         x = random_ext_elt(ext, rng, ge(-3), ge(3))
-        assert agrees_to_precision(x.trace(), x.trace_via_matrix())
+        assert agrees_to_precision(x.trace(), trace_via_matrix(x))
 
 
 def test_invert_round_trip(gf2_laurent, rng):
@@ -140,7 +142,7 @@ def test_norm_routes_agree_random(seed):
     ext = build(_preset("gf3-laurent"), "X^(-1)")
     rng = random.Random(seed)
     x = random_ext_elt(ext, rng, ge(-2), ge(2))
-    assert agrees_to_precision(x.norm(), x.norm_via_matrix())
+    assert agrees_to_precision(x.norm(), norm_via_matrix(x))
 
 
 @pytest.mark.parametrize("coeffs", [("2 + X^(-1)", "0", "3*X^(2)"),
@@ -153,4 +155,69 @@ def test_norm_routes_agree_at_p11(coeffs):
     x = ext.from_coeffs([parse_expr(c, field) for c in coeffs])
     n = x.norm()
     assert n.has_terms()
-    assert n == x.norm_via_matrix()
+    assert n == norm_via_matrix(x)
+
+
+def _bounded(ext, rng, x):
+    """x with some coordinates cut at a random bound."""
+    return ext.from_coeffs([c.truncate(random_group_elt(ext.base.group, rng, -1, 5))
+                            if rng.randrange(2) else c for c in x.coeffs])
+
+
+def _outcome(fn, x):
+    try:
+        return "value", fn(x)
+    except ValuataError as exc:
+        return "raised", type(exc), str(exc)
+
+
+def check_doubling(p, seed):
+    """norm and invert build the conjugate product by doubling; the
+    sequential product gives ==-equal results, bounds included.  The matrix
+    route agrees to ==-equality on exact elements; on bounded ones its
+    bounds may differ, so it agrees to precision."""
+    field = FieldSpec("series", f"gf:{p}", "int", precision=12).build()
+    ext = build(field, "X^(-1) + X^(2)" if seed % 2 else "X^(-1)")
+    rng = random.Random(seed)
+    x = random_ext_elt(ext, rng, ge(-2), ge(2), generator=True)
+    for y in (x, _bounded(ext, rng, x)):
+        assert _outcome(lambda z: z.norm(), y) == _outcome(sequential_norm, y)
+        assert _outcome(lambda z: z.invert(), y) == _outcome(sequential_invert, y)
+        target = ge(6)
+        assert (_outcome(lambda z: z.invert(target), y)
+                == _outcome(lambda z: sequential_invert(z, target), y))
+    assert x.norm() == norm_via_matrix(x)
+    y = _bounded(ext, rng, x)
+    assert agrees_to_precision(y.norm(), norm_via_matrix(y))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@settings(max_examples=15, deadline=None)
+@given(seeds)
+def test_doubling_matches_sequential_conjugates(p, seed):
+    check_doubling(p, seed)
+
+
+@settings(max_examples=4, deadline=None)
+@given(seeds)
+def test_doubling_matches_sequential_conjugates_at_p11(seed):
+    check_doubling(11, seed)
+
+
+@pytest.mark.parametrize("p, products", [(2, 1), (3, 2), (5, 3), (7, 4), (11, 5)])
+def test_norm_takes_doubling_products(monkeypatch, p, products):
+    """floor(log2(p-1)) + popcount(p-1) - 1 products for the conjugates and
+    one for a itself; the sequential loop took p - 1."""
+    field = FieldSpec("series", f"gf:{p}", "int", precision=12).build()
+    ext = build(field, "X^(-1)")
+    x = random_ext_elt(ext, random.Random(p), ge(-2), ge(2), generator=True)
+    calls = []
+    mul = ExtElt.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(ExtElt, "__mul__", counted)
+    x.norm()
+    assert len(calls) == products

@@ -1,8 +1,9 @@
 """Traced passes at self-test size, with the benchmark's tracer.
 
 ``perfbench/tracer.py`` wraps ``poly_gcd`` in every module that binds it,
-reads ``len()`` of gcds and of RatFunc numerators and denominators, and
-wraps ``GroupElt``'s arithmetic and comparisons on the class.  A change of
+reads ``len()`` of gcds and of RatFunc numerators and denominators,
+wraps ``GroupElt``'s arithmetic and comparisons on the class, and spans
+``ExtElt.norm``, ``invert`` and ``valuation_L``.  A change of
 representation that hides these calls from the wrappers, or that the
 counters can no longer read, fails here before it fails the benchmark.  The
 tracer is installed and removed directly, so nothing is written to
@@ -57,3 +58,11 @@ def test_traced_dense_groups_pass():
     assert failed == []
     assert metrics["value_group.GroupElt.arith.calls"][0] > 0
     assert metrics["value_group.GroupElt.compare.calls"][0] > 0
+
+
+def test_traced_norm_ideal_pass():
+    failed, metrics = traced_pass("norm-ideal")
+    assert failed == []
+    assert metrics["as_extension.ExtElt.norm.calls"][0] > 0
+    assert metrics["as_extension.ExtElt.invert.calls"][0] > 0
+    assert metrics["as_extension.ExtElt.valuation_L.calls"][0] > 0

@@ -1,6 +1,7 @@
-"""valuation_L reads v(N(a))/p off a norm of truncated coordinates; these
-tests hold it to the valuation of the full norm, including on elements that
-carry precision bounds and on elements whose norm is zero to precision."""
+"""valuation_L reads v(N(a))/p off a norm of truncated coordinates, or on
+a best extension off the valuation basis; these tests hold it to the
+valuation of the full norm, including on elements that carry precision
+bounds and on elements whose norm is zero to precision."""
 
 import random
 
@@ -12,9 +13,11 @@ from valuata.as_extension import ASExtension, ExtElt
 from valuata.corpus import FIELD_PRESETS
 from valuata.dsl import parse_expr
 from valuata.errors import ValuataError, ZeroToPrecisionError
-from valuata.norm_ideal import gamma_of, sample_generator, sample_unit_generator
+from valuata.norm_ideal import sample_generator, sample_unit_generator
 from valuata.sampling import random_ext_elt, random_group_elt
 from valuata.value_group import ge
+
+from helpers import assert_matches_full_norm, y_chain
 
 seeds = st.integers(min_value=0, max_value=10**9)
 
@@ -29,26 +32,6 @@ def build(preset, expr):
     return ASExtension(field, parse_expr(expr, field))
 
 
-def assert_matches_full_norm(a):
-    """valuation_L equals v(N(a))/p, or raises what the full norm raises."""
-    try:
-        expected = a.norm().valuation().divide(a.ext.p)
-    except ValuataError as exc:
-        with pytest.raises(type(exc)):
-            a.valuation_L()
-        return
-    assert a.valuation_L() == expected
-
-
-def y_chain(b):
-    """gamma and the intermediates (sigma - 1)**i(gamma) of the y
-    construction: elements whose coordinates carry precision bounds."""
-    out = [gamma_of(b)]
-    for _ in range(b.ext.p - 2):
-        out.append(out[-1].sigma() - out[-1])
-    return out
-
-
 @pytest.mark.parametrize("preset,expr", FAMILIES)
 @settings(max_examples=30, deadline=None)
 @given(seed=seeds)
@@ -57,19 +40,19 @@ def test_lazy_valuation_matches_full_norm(preset, expr, seed):
     group = ext.base.group
     rng = random.Random(seed)
     a = random_ext_elt(ext, rng, -2, 2, generator=True)
-    assert_matches_full_norm(a)
+    assert_matches_full_norm(a, rng)
     # the same element with every coordinate cut at its own random bound
     cut = ext.from_coeffs([c.truncate(random_group_elt(group, rng, -1, 4))
                            for c in a.coeffs])
-    assert_matches_full_norm(cut)
+    assert_matches_full_norm(cut, rng)
     b = sample_unit_generator(ext, rng) if seed % 2 else sample_generator(ext, rng)
-    assert_matches_full_norm(b)
+    assert_matches_full_norm(b, rng)
     try:
         chain = y_chain(b)
     except ValuataError:
         return
     for x in chain:
-        assert_matches_full_norm(x)
+        assert_matches_full_norm(x, rng)
 
 
 def test_zero_to_precision_still_raises():
@@ -93,11 +76,13 @@ def test_visible_element_with_norm_zero_to_precision_raises():
 
 
 def test_long_exact_element_answers_from_a_truncated_norm(monkeypatch):
-    ext = build("gf3-laurent", "X^(-1)")
+    # X^(-1) is not best over the half powers, so the norm route answers
+    ext = build("gf2-half-powers", "X^(-1)")
+    assert ext.basis_v_alpha is None
     k = ext.base
     a = ext.from_coeffs([parse_expr(" + ".join(f"X^({e})" for e in range(-1, 40)), k),
                          parse_expr("X^(-2) + X^(30)", k)])
-    expected = a.norm().valuation().divide(3)
+    expected = a.norm().valuation().divide(2)
     norms = []
     full = ExtElt.norm
 
