@@ -10,12 +10,12 @@ from .residue_field import GF, RatFunc
 from .hahn_series import SeriesElt, SeriesField, artin_schreier_shift
 from .as_extension import ASExtension, ExtElt
 from .best_f import (ASClassification, InvariantsReport, NormalizeOutcome,
-                     OutcomeKind, Verdict, bestness_probe, classify,
-                     classical_swan, improve, invariants, normalize)
+                     OutcomeKind, Verdict, classify, classical_swan, improve,
+                     invariants, normalize)
 from .kummer import (CycloBase, CycloElt, CycloField, KummerClassification,
-                     KummerVerdict, classify_h, cyclo_agrees, improve_h,
-                     kummer_bestness_probe, kummer_invariants, normalize_h)
-from .norm_ideal import (LefschetzSample, SInequalityReport, TraceLemmaReport,
+                     KummerVerdict, classify_h, improve_h, kummer_invariants,
+                     normalize_h)
+from .norm_ideal import (LefschetzSample, TraceLemmaReport,
                          derivative_product, gamma_of, lefschetz_val,
                          sample_generator, sample_unit_generator,
                          s_inequality_suite,
@@ -32,12 +32,12 @@ __all__ = [
     "SeriesElt", "SeriesField", "artin_schreier_shift",
     "ASExtension", "ExtElt",
     "ASClassification", "InvariantsReport", "NormalizeOutcome", "OutcomeKind",
-    "Verdict", "bestness_probe", "classify", "classical_swan", "improve",
-    "invariants", "normalize",
+    "Verdict", "classify", "classical_swan", "improve", "invariants",
+    "normalize",
     "CycloBase", "CycloElt", "CycloField", "KummerClassification",
-    "KummerVerdict", "classify_h", "cyclo_agrees",
-    "improve_h", "kummer_bestness_probe", "kummer_invariants", "normalize_h",
-    "LefschetzSample", "SInequalityReport", "TraceLemmaReport",
+    "KummerVerdict", "classify_h", "improve_h", "kummer_invariants",
+    "normalize_h",
+    "LefschetzSample", "TraceLemmaReport",
     "derivative_product", "gamma_of", "lefschetz_val",
     "sample_generator", "sample_unit_generator",
     "s_inequality_suite", "trace_lemma_suite",

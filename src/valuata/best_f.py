@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from .as_extension import ASExtension
 from .errors import InsufficientPrecisionError, MismatchError, NoImprovementError, UsageError
 from .hahn_series import SeriesElt, artin_schreier_shift
-from .value_group import INFINITY, GroupElt
+from .value_group import GroupElt
 
 
 class Verdict(enum.Enum):
@@ -262,23 +262,3 @@ def classical_swan(f_star: SeriesElt, ext: ASExtension | None = None) -> GroupEl
         raise MismatchError(
             f"swan via norms {via_norm} disagrees with -v(f) = {direct}")
     return direct
-
-
-def bestness_probe(f_star: SeriesElt, probes) -> list:
-    """Check sup-attainment on given probe elements h: for every h and every
-    i = 1..p-1, the valuation of i*(f + h**p - h) must not exceed v(f).
-
-    Returns the list of violations (empty on success) so callers can decide
-    whether a nonempty answer is a test failure or a counterexample report.
-    """
-    v_star = f_star.valuation()
-    p = f_star.field.p
-    violations = []
-    for h in probes:
-        shifted = artin_schreier_shift(f_star, h)
-        for i in range(1, p):
-            cand = shifted.scale_int(i)
-            v = INFINITY if cand.is_exact_zero() else cand.valuation()
-            if v > v_star:
-                violations.append((h, i, v))
-    return violations

@@ -31,9 +31,9 @@ Two operands with different denominators are first carried to the lcm.
 
 GroupElt and GFElt are the boundary types.  A GroupElt enters by its num
 and den (make, shift, truncate, invert) and leaves through GroupElt.packed
-(valuation, val_lower_bound, the ``terms`` and ``precision`` views); a GFElt
-is packed and unpacked there too.  No arithmetic inside the layer builds
-either, or a rational.  The views are rebuilt on every access.
+(valuation, the ``terms`` and ``precision`` views); a GFElt is packed and
+unpacked there too.  No arithmetic inside the layer builds either, or a
+rational.  The views are rebuilt on every access.
 
 Leading-term queries.  lead_sign, lead_root and rises_above answer what one
 step of best_f.classify and improve asks, on the packed leading exponent
@@ -43,16 +43,15 @@ valuation (or a bound) clears another, the denominators cross-multiplied.
 They build no GroupElt or GFElt and ask the group no membership question.
 
 Value-group membership is checked where a value enters from outside the
-layer: make checks every exponent and the bound, shift and truncate check
-their one argument, and pth_root asks whether every packed numerator
-divides by p (only the integer group can refuse).  The closed operations
-build their results without asking again, because a group is closed under
-what they do to exponents: sums and differences of members (+, -, *,
-shift), integer multiples (frobenius) and prefixes of a sorted list
-(truncate).  They keep the other invariants by construction as well: + and
-- merge two sorted lists, * sorts its accumulated products once, shift,
-frobenius and scaling by a nonzero residue map the terms in order and keep
-every coefficient nonzero, and every result is cut at its bound.
+layer: make checks every exponent and the bound, and shift and truncate
+check their one argument.  The closed operations build their results
+without asking again, because a group is closed under what they do to
+exponents: sums and differences of members (+, -, *, shift), integer
+multiples (frobenius) and prefixes of a sorted list (truncate).  They keep
+the other invariants by construction as well: + and - merge two sorted
+lists, * sorts its accumulated products once, shift, frobenius and scaling
+by a nonzero residue map the terms in order and keep every coefficient
+nonzero, and every result is cut at its bound.
 """
 
 from __future__ import annotations
@@ -133,9 +132,6 @@ class SeriesField:
     def zero(self) -> "SeriesElt":
         return self._zero
 
-    def zero_to(self, precision: GroupElt) -> "SeriesElt":
-        return self.make((), precision)
-
     def one(self) -> "SeriesElt":
         return self._constant(self.ring.one)
 
@@ -208,14 +204,6 @@ class SeriesElt:
             return INFINITY
         raise ZeroToPrecisionError(bound=self.precision)
 
-    def val_lower_bound(self) -> GroupElt:
-        """A certified lower bound for the valuation; requires a finite answer."""
-        if self._exps:
-            return GroupElt.packed(self._exps[0], self._den)
-        if self._bound is not None:
-            return self.precision
-        raise UsageError("exact zero has no finite valuation bound")
-
     # -- leading-term queries of the normalize step (no boundary type built) ---
 
     def lead_sign(self) -> int:
@@ -227,7 +215,7 @@ class SeriesElt:
 
     def lead_root(self):
         """(divides, root) for the leading term c*X^v: divides says whether
-        v/p lies in the group (divide_by_p, as in ValueGroup.is_p_divisible),
+        v/p lies in the group (divide_by_p; only the integer group refuses),
         root is the monomial r*X^(v/p) with r**p = c, or None when v/p leaves
         the group or c has no p-th root.  Needs a visible term."""
         field = self.field
@@ -337,10 +325,6 @@ class SeriesElt:
         coeffs = tuple([mul(x, c) for x in self._coeffs])
         return SeriesElt(field, self._exps, coeffs, self._den, self._bound)
 
-    def scale_residue(self, c) -> "SeriesElt":
-        """Multiply by a residue constant; precision is unchanged."""
-        return self._scaled(self.field.ring.pack(c))
-
     def scale_int(self, n: int) -> "SeriesElt":
         return self._scaled(self.field.ring.from_int(n))
 
@@ -397,30 +381,6 @@ class SeriesElt:
         k = p if type(self._den) is int else (p, p)
         exps, bound = _affine(self._exps, self._bound, k)
         return _canonical(field, exps, coeffs, self._den, bound)
-
-    def pth_root(self) -> "SeriesElt":
-        """Inverse of frobenius where it exists; exponents and the bound
-        divide by p, coefficients take residue-field roots."""
-        field = self.field
-        p = field.p
-        root = field.ring.root
-        exps, bound = self._exps, self._bound
-        # only the integers refuse an exponent (den is 1 there); the first
-        # failure in term order is the one reported
-        integers = field.group.kind is GroupKind.INT
-        coeffs = []
-        for e, c in zip(exps, self._coeffs):
-            if integers and e % p:
-                raise UsageError(f"exponent {e} is not divisible by p in the group")
-            r = root(c)
-            if r is None:
-                raise UsageError("coefficient is not a p-th power in the residue field")
-            coeffs.append(r)
-        if integers and bound is not None and bound % p:
-            raise UsageError("precision bound does not divide by p in the group")
-        # n/(p*den), carried to the least denominator; dividing by p keeps
-        # the order, and a root of a nonzero coefficient is nonzero
-        return _canonical(field, exps, coeffs, _times(self._den, p), bound)
 
     def invert(self, target: GroupElt | None = None) -> "SeriesElt":
         """Multiplicative inverse, truncated so that self * result is

@@ -66,12 +66,9 @@ class CycloField:
         """v(z**p) = m*p; beyond it the Kummer equation splits."""
         return self.m * self.p
 
+    @cached_property
     def residue(self):
         """GF(p), or GF(p)(y) with_y; one instance per field."""
-        return self._residue
-
-    @cached_property
-    def _residue(self):
         base = GF(self.p)
         return RatFunc(base) if self.with_y else base
 
@@ -143,7 +140,7 @@ class CycloField:
         """Monomial-style lift: integers lift integer coefficients, y lifts y."""
         if isinstance(r, int):
             return self.from_int(r)
-        k = self.residue()
+        k = self.residue
         if r.field != k:
             raise UsageError("residue element of the wrong field")
         if self.with_y:
@@ -429,7 +426,7 @@ class CycloElt:
 
     def residue_class(self):
         """Image in GF(p) or GF(p)(y); requires v >= 0."""
-        k = self.field.residue()
+        k = self.field.residue
         dv = _poly_valuation(self.den)
         try:
             nv = _poly_valuation(self.num)
@@ -504,12 +501,6 @@ def _poly_valuation(poly) -> int:
         raise InsufficientPrecisionError(
             "a hidden coefficient could undercut the Gauss valuation")
     return v
-
-
-def cyclo_agrees(a: CycloElt, b: CycloElt) -> bool:
-    """No visible difference between a and b at the carried precision."""
-    diff = a - b
-    return all(c.is_represented_zero() for c in diff.num)
 
 
 def format_cyclo(a: CycloElt) -> str:
@@ -590,7 +581,7 @@ def classify_h(h: CycloElt) -> KummerClassification:
        g = 1/(1 + lift(root)*s) strictly raises v(w): not-best.
     """
     field = h.field
-    k = field.residue()
+    k = field.residue
     one = field.one()
     p = field.p
     v = h.valuation()
@@ -701,24 +692,3 @@ def kummer_invariants(outcome: NormalizeOutcome) -> InvariantsReport:
         return InvariantsReport(1, p, 1, "ferocious",
                                 ge(field.threshold - c.w_valuation))
     return InvariantsReport(1, p, 1, "unramified", ge(0))
-
-
-def kummer_bestness_probe(h_star: CycloElt, probes) -> list:
-    """For probe units g and every i = 1..p-1, v(h**i * g**p - 1) must not
-    exceed v(h* - 1); returns any violations."""
-    field = h_star.field
-    one = field.one()
-    v_star = (h_star - one).valuation()
-    violations = []
-    for g in probes:
-        for i in range(1, field.p):
-            cand = h_star.pow(i) * g.pow(field.p) - one
-            try:
-                v = cand.valuation()
-            except ZeroToPrecisionError as exc:
-                if exc.bound > v_star:
-                    violations.append((g, i, "hidden"))
-                continue
-            if v > v_star:
-                violations.append((g, i, v))
-    return violations

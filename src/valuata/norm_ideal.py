@@ -21,8 +21,9 @@ precision and raise rather than report a silent pass.  Each sample computes
 N(y) once: it certifies y**p - y and gives v_L(y) = v(N(y))/p.  The other
 valuations are those of the displacement and, for p > 2, of gamma and its
 images under sigma - 1, whose increments are recorded.  valuation_L reads
-them off the valuation basis when f is best, with no norm, and off
-truncated norms otherwise (as_extension).
+them off the valuation basis when f is best, with no norm, and off the full
+norm otherwise (as_extension).  A sample is one LefschetzSample, whether it
+comes from y_construct, verify_s_inequality or s_inequality_suite.
 """
 
 from __future__ import annotations
@@ -160,19 +161,9 @@ def verify_trace_lemma(b: ExtElt) -> TraceLemmaReport:
     return TraceLemmaReport(b, tuple(checks))
 
 
-@dataclass(frozen=True)
-class SInequalityReport:
-    b: ExtElt
-    s: GroupElt
-    s_prime: GroupElt
-
-    @property
-    def holds(self) -> bool:
-        return self.s >= self.s_prime
-
-
-def verify_s_inequality(b: ExtElt) -> SInequalityReport:
-    """Certify lefschetz_val(b) >= -v_L(y) for the y built from b.
+def verify_s_inequality(b: ExtElt) -> LefschetzSample:
+    """Certify lefschetz_val(b) >= -v_L(y) for the y built from b, and
+    return the sample.
 
     The statement's home is a unit b of the valuation ring upstairs, outside
     the base field, where the displacement is plainly v_L(sigma(b) - b).  The
@@ -185,7 +176,7 @@ def verify_s_inequality(b: ExtElt) -> SInequalityReport:
     if not sample.holds:
         raise InequalityViolatedError(
             f"s = {sample.s} < s' = {sample.s_prime} on a sampled generator")
-    return SInequalityReport(b, sample.s, sample.s_prime)
+    return sample
 
 
 # -- sample families ------------------------------------------------------------
@@ -258,7 +249,7 @@ def trace_lemma_suite(ext: ASExtension, rng, count: int) -> list[TraceLemmaRepor
     return [verify_trace_lemma(sample_generator(ext, rng)) for _ in range(count)]
 
 
-def s_inequality_suite(ext: ASExtension, rng, count: int) -> list[SInequalityReport]:
+def s_inequality_suite(ext: ASExtension, rng, count: int) -> list[LefschetzSample]:
     """Alternate draws between guaranteed units and general generators, so
     both element families of the inequality's statement get exercised."""
     reports = []

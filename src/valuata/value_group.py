@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -138,7 +139,13 @@ class GroupElt:
 
     def __str__(self):
         parts = self.parts
-        return str(parts[0]) if len(parts) == 1 else "({}, {})".format(*parts)
+        try:
+            return str(parts[0]) if len(parts) == 1 else "({}, {})".format(*parts)
+        except ValueError:
+            # Python refuses to print ints longer than its digit limit
+            raise UsageError(
+                f"a value has more digits than the {sys.get_int_max_str_digits()}-digit "
+                "limit for printing integers") from None
 
     def __repr__(self):
         return f"GroupElt({self})"
@@ -260,8 +267,9 @@ def _is_p_power(n: int, p: int) -> bool:
 
 @dataclass(frozen=True)
 class ValueGroup:
-    """One of the four supported groups; p is required for INT_INV_P and is
-    the prime used by is_p_divisible in every kind."""
+    """One of the four supported groups; p is the prime of INT_INV_P's
+    denominators, and in every kind the residue characteristic that a
+    series field pairs the group with."""
 
     kind: GroupKind
     p: int
@@ -290,12 +298,3 @@ class ValueGroup:
         if not self.contains(a):
             raise UsageError(f"{a} does not lie in the {self.kind.value} group")
         return a
-
-    def is_p_divisible(self, a: GroupElt) -> GroupElt | None:
-        """Return a/p when that stays in the group, else None.
-
-        Only the integer group can refuse; the other kinds are p-divisible.
-        """
-        self.check_member(a)
-        half = divide_by_p(a.num, a.den, self.p, self.kind is GroupKind.INT)
-        return None if half is None else GroupElt.packed(*half)

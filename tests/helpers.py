@@ -27,6 +27,16 @@ def random_cyclo_unit(field, rng: Random, max_terms: int = 3):
     return g
 
 
+def zero_to(field, precision: GroupElt):
+    """The series that is zero to the given precision bound."""
+    return field.make((), precision)
+
+
+def scale_residue(a, c):
+    """a times the residue constant c; precision is unchanged."""
+    return a._scaled(a.field.ring.pack(c))
+
+
 def is_base(x) -> bool:
     """An extension element with no visible term above the constant
     coefficient."""

@@ -1,15 +1,25 @@
-"""Independent routes to the norm, trace and inverse of extension elements,
-kept for the tests to cross-check the library against.
+"""Reference routes that only the tests call, kept for them to cross-check
+the library against.
 
 The matrix route reads the norm and trace off the multiplication matrix,
 whose determinant is computed by Berkowitz's division-free algorithm; it
 shares nothing with the conjugate products of as_extension beyond ring
 arithmetic.  The sequential route multiplies the conjugates one at a time,
 as the library did before it built their product by doubling.
+
+The bestness probes check sup-attainment of a normalized generator on given
+probe elements, outside the decision trees of classify and classify_h.
+is_p_divisible asks the group the question that SeriesElt.lead_root answers
+on packed exponents, and cyclo_agrees compares cyclotomic elements to their
+carried precision.
 """
 
 from valuata.as_extension import ExtElt
-from valuata.hahn_series import SeriesElt, SeriesField
+from valuata.errors import ZeroToPrecisionError
+from valuata.hahn_series import SeriesElt, SeriesField, artin_schreier_shift
+from valuata.kummer import CycloElt
+from valuata.value_group import (INFINITY, GroupElt, GroupKind, ValueGroup,
+                                 divide_by_p)
 
 
 def multiplication_matrix(x: ExtElt):
@@ -87,3 +97,60 @@ def sequential_invert(x: ExtElt, target=None) -> ExtElt:
         acc = acc * x.sigma(i)
     n = x._symmetric_part(acc * x, "norm")
     return acc.scale_base(n.invert(target))
+
+
+def bestness_probe(f_star: SeriesElt, probes) -> list:
+    """Check sup-attainment on given probe elements h: for every h and every
+    i = 1..p-1, the valuation of i*(f + h**p - h) must not exceed v(f).
+
+    Returns the list of violations (empty on success) so callers can decide
+    whether a nonempty answer is a test failure or a counterexample report.
+    """
+    v_star = f_star.valuation()
+    p = f_star.field.p
+    violations = []
+    for h in probes:
+        shifted = artin_schreier_shift(f_star, h)
+        for i in range(1, p):
+            cand = shifted.scale_int(i)
+            v = INFINITY if cand.is_exact_zero() else cand.valuation()
+            if v > v_star:
+                violations.append((h, i, v))
+    return violations
+
+
+def kummer_bestness_probe(h_star: CycloElt, probes) -> list:
+    """For probe units g and every i = 1..p-1, v(h**i * g**p - 1) must not
+    exceed v(h* - 1); returns any violations."""
+    field = h_star.field
+    one = field.one()
+    v_star = (h_star - one).valuation()
+    violations = []
+    for g in probes:
+        for i in range(1, field.p):
+            cand = h_star.pow(i) * g.pow(field.p) - one
+            try:
+                v = cand.valuation()
+            except ZeroToPrecisionError as exc:
+                if exc.bound > v_star:
+                    violations.append((g, i, "hidden"))
+                continue
+            if v > v_star:
+                violations.append((g, i, v))
+    return violations
+
+
+def cyclo_agrees(a: CycloElt, b: CycloElt) -> bool:
+    """No visible difference between a and b at the carried precision."""
+    diff = a - b
+    return all(c.is_represented_zero() for c in diff.num)
+
+
+def is_p_divisible(group: ValueGroup, a: GroupElt) -> GroupElt | None:
+    """Return a/p when that stays in the group, else None.
+
+    Only the integer group can refuse; the other kinds are p-divisible.
+    """
+    group.check_member(a)
+    half = divide_by_p(a.num, a.den, group.p, group.kind is GroupKind.INT)
+    return None if half is None else GroupElt.packed(*half)

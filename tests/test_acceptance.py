@@ -11,19 +11,18 @@ import random
 import time
 
 from valuata.as_extension import ASExtension
-from valuata.best_f import (bestness_probe, classical_swan, classify, invariants,
-                            normalize)
+from valuata.best_f import classical_swan, classify, invariants, normalize
 from valuata.cli import main
 from valuata.corpus import ENTRIES, FIELD_PRESETS, FieldSpec
 from valuata.dsl import parse_expr
-from valuata.kummer import classify_h, kummer_bestness_probe, normalize_h
+from valuata.kummer import classify_h, normalize_h
 from valuata.norm_ideal import s_inequality_suite, trace_lemma_suite
 from valuata.sampling import random_ext_elt
 from valuata.hahn_series import agrees_to_precision
 from valuata.value_group import ge
 
 from helpers import random_cyclo_unit, random_shift_probe
-from routes import norm_via_matrix
+from routes import bestness_probe, kummer_bestness_probe, norm_via_matrix
 
 
 def _line(num: int, ok: bool, text: str) -> None:

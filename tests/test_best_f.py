@@ -4,14 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from valuata.best_f import (OutcomeKind, Verdict, bestness_probe, classify,
-                            classical_swan, improve, invariants, normalize)
+from valuata.best_f import (OutcomeKind, Verdict, classify, classical_swan,
+                            improve, invariants, normalize)
 from valuata.dsl import parse_expr
 from valuata.errors import UsageError
 from valuata.hahn_series import format_series
 from valuata.value_group import ge
 
 from helpers import random_shift_probe
+from routes import bestness_probe
 
 seeds = st.integers(min_value=0, max_value=10**9)
 

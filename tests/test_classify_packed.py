@@ -2,11 +2,11 @@
 
 The reference functions below are the decision tree and the rise check as
 written on boundary types: the valuation as a GroupElt, p-divisibility
-through ValueGroup.is_p_divisible, the unit through shift(-v) and the root
-through the residue field's own pth_root.  The library reads the same
-answers off the packed leading exponent and coefficient; both routes must
-agree on every field of the classification and on every improve outcome,
-exceptions included.
+through is_p_divisible (tests/routes.py), the unit through shift(-v) and
+the root through the residue field's own pth_root.  The library reads the
+same answers off the packed leading exponent and coefficient; both routes
+must agree on every field of the classification and on every improve
+outcome, exceptions included.
 """
 
 from fractions import Fraction
@@ -21,6 +21,8 @@ from valuata.errors import (InsufficientPrecisionError, NoImprovementError,
                             ValuataError)
 from valuata.hahn_series import artin_schreier_shift
 from valuata.value_group import GroupElt, GroupKind
+
+from routes import is_p_divisible
 
 
 # -- the reference route -------------------------------------------------------
@@ -52,7 +54,7 @@ def reference_classify(f):
         h = field.from_residue(-x)
         return ASClassification(Verdict.NOT_BEST, valuation=v, improvement_h=h,
                                 preimage=x)
-    half = group.is_p_divisible(v)
+    half = is_p_divisible(group, v)
     if half is None:
         return ASClassification(Verdict.BEST_I, valuation=v)
     u = f.shift(-v)

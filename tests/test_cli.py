@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -389,3 +390,19 @@ def test_zero_to_a_nonpositive_bound_still_exits_one(capsys, command, expr):
     assert code == 1
     assert not out
     assert "zero to working precision" in err
+
+
+def test_a_value_past_the_integer_digit_limit_exits_one(capsys):
+    # the halving chain of X^(-1) over Z[1/2] reaches denominators 2**steps;
+    # at the lowest digit limit Python allows, 2**2200 is past it
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run(capsys, "normalize-as", "X^(-1)",
+                             "--field", "gf2-half-powers", "--budget", "2200")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 1
+    assert not out
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "640-digit limit" in err

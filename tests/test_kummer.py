@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 from valuata.best_f import OutcomeKind
 from valuata.dsl import parse_expr
 from valuata.errors import UsageError, ZeroToPrecisionError
-from valuata.kummer import (CycloField, KummerVerdict, classify_h,
-                            cyclo_agrees, format_cyclo, improve_h,
-                            kummer_bestness_probe, kummer_invariants,
-                            normalize_h)
+from valuata.kummer import (CycloField, KummerVerdict, classify_h, improve_h,
+                            kummer_invariants, normalize_h)
 
 from helpers import random_cyclo_unit
+from routes import cyclo_agrees, kummer_bestness_probe
 
 seeds = st.integers(min_value=0, max_value=10**9)
 
@@ -50,8 +49,8 @@ def test_residue_of_unit(q3_zeta):
 @pytest.mark.parametrize("with_y", [False, True])
 def test_residue_field_is_built_once_per_field(with_y):
     field = CycloField(3, with_y=with_y)
-    assert field.residue() is field.residue()
-    assert field.residue().p == 3
+    assert field.residue is field.residue
+    assert field.residue.p == 3
 
 
 def test_residue_after_p_division(q3_zeta):

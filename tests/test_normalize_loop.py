@@ -7,8 +7,9 @@ import pytest
 from valuata.best_f import InvariantsReport, OutcomeKind, invariants, normalize
 from valuata.dsl import parse_expr
 from valuata.errors import UsageError
-from valuata.kummer import (KummerVerdict, cyclo_agrees, kummer_invariants,
-                            normalize_h)
+from valuata.kummer import KummerVerdict, kummer_invariants, normalize_h
+
+from routes import cyclo_agrees
 
 P3_DEFECT = InvariantsReport(1, 1, 3, "defect", None)
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import count_group_elts
+from helpers import count_group_elts, scale_residue, zero_to
 from valuata.best_f import normalize
 from valuata.corpus import FIELD_PRESETS
 from valuata.dsl import parse_expr
@@ -97,9 +97,9 @@ def least(a, b):
 def product_bound(a, b):
     cands = []
     if a.precision is not None:
-        cands.append(a.precision + b.val_lower_bound())
+        cands.append(a.precision + (b.valuation() if b.has_terms() else b.precision))
     if b.precision is not None:
-        cands.append(b.precision + a.val_lower_bound())
+        cands.append(b.precision + (a.valuation() if a.has_terms() else a.precision))
     return min(cands) if cands else None
 
 
@@ -145,26 +145,12 @@ def test_unary_operations_match_make(name, data):
     same(shifted, field.make([(e + s, x) for e, x in a.terms],
                              None if a.precision is None else a.precision + s))
     same(a.truncate(t), field.make(a.terms, least(t, a.precision)))
-    same(a.scale_residue(c), field.make([(e, x * c) for e, x in a.terms], a.precision))
+    same(scale_residue(a, c), field.make([(e, x * c) for e, x in a.terms], a.precision))
     frob = a.frobenius()
     same(frob, field.make([(e.scale(p), k.frobenius(x)) for e, x in a.terms],
                           None if a.precision is None else a.precision.scale(p)))
-    for x in (shifted, a.truncate(t), a.scale_residue(c), frob):
+    for x in (shifted, a.truncate(t), scale_residue(a, c), frob):
         assert_canonical(x)
-
-    root = frob.pth_root()
-    same(root, a)
-    try:
-        root = a.pth_root()
-    except UsageError:
-        halves = [field.group.is_p_divisible(e) for e, _ in a.terms]
-        if a.precision is not None:
-            halves.append(field.group.is_p_divisible(a.precision))
-        assert None in halves
-    else:
-        same(root, field.make([(e.divide(p), k.pth_root(x)) for e, x in a.terms],
-                              None if a.precision is None else a.precision.divide(p)))
-        assert_canonical(root)
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
@@ -208,7 +194,7 @@ def test_non_members_are_refused_at_the_boundary(field, outsider):
         lambda: field.make([], outsider),
         lambda: field.monomial(one, outsider),
         lambda: field.monomial(one, ge(1), outsider),
-        lambda: field.zero_to(outsider),
+        lambda: zero_to(field, outsider),
         lambda: x.shift(outsider),
         lambda: field.zero().shift(outsider),
         lambda: x.truncate(outsider),
@@ -217,18 +203,6 @@ def test_non_members_are_refused_at_the_boundary(field, outsider):
     for entry in entries:
         with pytest.raises(UsageError):
             entry()
-
-
-def test_pth_root_refuses_exponents_and_bounds_outside_the_group():
-    one = INT.residue.one()
-    with pytest.raises(UsageError):
-        INT.monomial(one, ge(1)).pth_root()
-    with pytest.raises(UsageError):
-        INT.zero_to(ge(3)).pth_root()
-    deep = HALF.monomial(one, ge(Fraction(1, 2 ** 500)), ge(Fraction(3, 2 ** 500)))
-    root = deep.pth_root()
-    assert root.terms == ((ge(Fraction(1, 2 ** 501)), one),)
-    assert root.precision == ge(Fraction(3, 2 ** 501))
 
 
 # -- deterministic work guard -----------------------------------------------------

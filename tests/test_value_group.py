@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 from valuata.errors import UsageError
 from valuata.value_group import (INFINITY, GroupElt, GroupKind, ValueGroup,
                                  _is_p_power, ge, parse_group_elt)
+
+from routes import is_p_divisible
 
 fractions = st.fractions(min_value=-10**6, max_value=10**6,
                          max_denominator=10**4)
@@ -24,6 +27,14 @@ def test_rank_two_construction():
     assert a.rank == 2
     assert str(a) == "(-1, 0)"
     assert parse_group_elt("(-1, 0)") == a
+
+
+def test_printing_past_the_integer_digit_limit_is_a_usage_error():
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(UsageError, match=f"{limit}-digit limit"):
+        str(GroupElt.packed(1, 2 ** 20000))
+    with pytest.raises(UsageError, match=f"{limit}-digit limit"):
+        str(GroupElt.packed((0, 1), (1, 2 ** 20000)))
 
 
 def test_bad_rank_rejected():
@@ -57,26 +68,26 @@ def test_membership_int():
     g = ValueGroup(GroupKind.INT, 2)
     assert g.contains(ge(3))
     assert not g.contains(ge(Fraction(1, 2)))
-    assert g.is_p_divisible(ge(4)) == ge(2)
-    assert g.is_p_divisible(ge(3)) is None
+    assert is_p_divisible(g, ge(4)) == ge(2)
+    assert is_p_divisible(g, ge(3)) is None
 
 
 def test_membership_int_inv_p():
     g = ValueGroup(GroupKind.INT_INV_P, 2)
     assert g.contains(ge(Fraction(3, 8)))
     assert not g.contains(ge(Fraction(1, 3)))
-    assert g.is_p_divisible(ge(Fraction(1, 8))) == ge(Fraction(1, 16))
+    assert is_p_divisible(g, ge(Fraction(1, 8))) == ge(Fraction(1, 16))
 
 
 def test_membership_rat_and_lex2():
     r = ValueGroup(GroupKind.RAT, 3)
     assert r.contains(ge(Fraction(5, 7)))
-    assert r.is_p_divisible(ge(1)) == ge(Fraction(1, 3))
+    assert is_p_divisible(r, ge(1)) == ge(Fraction(1, 3))
     l2 = ValueGroup(GroupKind.LEX2, 2)
     assert l2.rank == 2
     assert l2.contains(ge(Fraction(1, 3), Fraction(-2, 5)))
     assert not l2.contains(ge(1))
-    assert l2.is_p_divisible(ge(-1, 0)) == ge(Fraction(-1, 2), 0)
+    assert is_p_divisible(l2, ge(-1, 0)) == ge(Fraction(-1, 2), 0)
 
 
 def test_compare_requires_membership():
@@ -208,7 +219,7 @@ def test_packed_values_agree_with_fraction_tuples(case):
 def test_is_p_divisible_agrees_with_fraction_tuples(case):
     group, ra, _, _ = case
     half = tuple(x / group.p for x in ra)
-    got = group.is_p_divisible(GroupElt(ra))
+    got = is_p_divisible(group, GroupElt(ra))
     if group.kind is GroupKind.INT and half[0].denominator != 1:
         assert got is None
     else:
@@ -238,7 +249,7 @@ def test_arithmetic_comparison_hash_and_membership_build_no_fraction(monkeypatch
     monkeypatch.setattr(Fraction, "__new__", counted)
     results = [[a + b, a - b, -a, a.scale(-3), a.divide(-4), a.is_zero(), hash(a),
                 a < b, a <= b, a > b, a >= b, a == b, a < INFINITY,
-                group.contains(a), group.check_member(b), group.is_p_divisible(a)]
+                group.contains(a), group.check_member(b), is_p_divisible(group, a)]
                for group, a, b in pairs]
     monkeypatch.undo()
     assert len(results) == 4 and built == []
