@@ -21,6 +21,14 @@ last behaviour into reportable defect evidence.  Over a discretely valued
 base the loop always terminates, so unbounded trajectories only occur in
 p-divisible value groups, which is where defect lives.
 
+At negative valuation an improvement only replaces the leading term c*X^v
+by r*X^(v/p), r**p = c.  normalize therefore runs such a chain as one
+SeriesElt.lead_run on the packed terms and classifies only the element
+where it stops; the one step at valuation zero, which lifts an
+Artin-Schreier preimage, goes through improve.  Both engines share the
+driver normalize_loop, whose advance hook takes as many steps as the
+engine can apply in one call.
+
 The Swan conductor of a best element is -v(f), checked here against the
 independent route through norms: v(N(1/alpha)) computed in the extension.
 """
@@ -139,7 +147,8 @@ def classify(f: SeriesElt) -> ASClassification:
                 Verdict.TRIVIAL,
                 note=f"f is zero to precision {f.precision} > 0")
         raise InsufficientPrecisionError(
-            "cannot classify: f is zero to working precision")
+            f"cannot classify: f is zero to working precision O(X^({f.precision})); "
+            f"only v(f) >= {f.precision} is known, and a bound above 0 would settle it")
     sign = f.lead_sign()
     v = f.valuation()
     if sign > 0:
@@ -181,14 +190,16 @@ def improve(f: SeriesElt, h: SeriesElt) -> SeriesElt:
         f"improvement left the valuation at {new} (was {f.valuation()})")
 
 
-def normalize_loop(x, budget: int, classify_step, improve_step,
+def normalize_loop(x, budget: int, classify_step, advance,
                    level) -> NormalizeOutcome:
-    """The classify/improve loop of both engines.
+    """The classify/advance loop of both engines.
 
     classify_step(x) returns the classification and the element it was
     decided on, which replaces x (Kummer strips a p-th power monomial);
-    improve_step(x, c) applies the witness of c; level(x) is the trajectory
-    entry of x, or None when the data hide it.
+    advance(x, c, room) applies the witness of c for at least one and at
+    most room steps and returns (x, steps, levels), with levels the
+    trajectory entries of the iterates, None where the data hide one;
+    level(x) is the entry of the first element.
     """
     if budget < 0:
         raise UsageError("budget must be nonnegative")
@@ -204,11 +215,9 @@ def normalize_loop(x, budget: int, classify_step, improve_step,
         if c.is_best or steps == budget:
             kind = OutcomeKind.BEST_FOUND if c.is_best else OutcomeKind.DEFECT_EVIDENCE
             return NormalizeOutcome(kind, p, x, c, steps, budget, tuple(trajectory))
-        x = improve_step(x, c)
-        steps += 1
-        value = level(x)
-        if value is not None:
-            trajectory.append(value)
+        x, n, levels = advance(x, c, budget - steps)
+        steps += n
+        trajectory += [value for value in levels if value is not None]
 
 
 def normalize(f: SeriesElt, budget: int = 32) -> NormalizeOutcome:
@@ -216,10 +225,19 @@ def normalize(f: SeriesElt, budget: int = 32) -> NormalizeOutcome:
 
     The trajectory records the valuation of every iterate, so a spent budget
     returns the strictly increasing, bounded evidence sequence that signals
-    defect instead of silently looping.
+    defect instead of silently looping.  At negative valuation the not-best
+    steps run as one SeriesElt.lead_run, so a chain is classified only where
+    it stops; at valuation zero one improve step lifts the Artin-Schreier
+    preimage.
     """
-    return normalize_loop(f, budget, lambda x: (classify(x), x),
-                          lambda x, c: improve(x, c.improvement_h), _level)
+    return normalize_loop(f, budget, lambda x: (classify(x), x), _advance, _level)
+
+
+def _advance(f: SeriesElt, c: ASClassification, room: int):
+    if f.lead_sign() < 0:
+        return f.lead_run(room)
+    f = improve(f, c.improvement_h)
+    return f, 1, (_level(f),)
 
 
 def _level(f: SeriesElt):

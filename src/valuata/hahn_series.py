@@ -41,6 +41,12 @@ and coefficient: the sign of the valuation; whether it divides by p in the
 group, with the monomial p-th root of the leading term; and whether one
 valuation (or a bound) clears another, the denominators cross-multiplied.
 They build no GroupElt or GFElt and ask the group no membership question.
+lead_run applies a whole chain of not-best steps at negative valuation on
+lists of packed exponents and codes: each step drops the leading term
+c*X^v and merges r*X^(v/p), r**p = c, so it builds no series until the
+chain stops, and only the valuation of each iterate as a GroupElt.  Along
+the chain the denominator is only multiplied by p, which divide_by_p
+allows for any denominator, and _canonical restores the least one once.
 
 Value-group membership is checked where a value enters from outside the
 layer: make checks every exponent and the bound, and shift and truncate
@@ -61,7 +67,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
-from .errors import InsufficientPrecisionError, UsageError, ZeroToPrecisionError
+from .errors import (InsufficientPrecisionError, NoImprovementError, UsageError,
+                     ZeroToPrecisionError)
 from .residue_field import Ring
 from .value_group import (INFINITY, GroupElt, GroupKind, ValueGroup, _plus, _times,
                           _to_common, divide_by_p)
@@ -234,6 +241,61 @@ class SeriesElt:
         not be an exact zero and other needs a visible term."""
         x = self._exps[0] if self._exps else self._bound
         return _times(x, other._den) > _times(other._exps[0], self._den)
+
+    def lead_run(self, limit: int):
+        """Up to limit not-best steps at negative valuation, on the packed
+        lists: while the leading term c*X^v has v < 0, v/p in the group and
+        a root r**p = c, replace it by r*X^(v/p), which is f + h**p - h for
+        h = -r*X^(v/p).  The new term is dropped at the bound and merged
+        with a term already at v/p.  Returns (element, steps, levels), with
+        the valuation of each iterate as a GroupElt, or None when no term
+        is visible.  As in best_f.improve, a step that does not raise the
+        leading exponent (or the bound, when nothing is visible) raises
+        NoImprovementError."""
+        field = self.field
+        p = field.p
+        root, add = field.ring.root, field.ring.add
+        integers = field.group.kind is GroupKind.INT
+        exps, coeffs = list(self._exps), list(self._coeffs)
+        den, bound = self._den, self._bound
+        zero = 0 if type(den) is int else (0, 0)
+        levels = []
+        while len(levels) < limit and exps and exps[0] < zero:
+            half = divide_by_p(exps[0], den, p, integers)
+            if half is None:
+                break
+            r = root(coeffs[0])
+            if r is None:
+                break
+            n, d = half
+            if d != den:
+                # only ever a factor p more, per coordinate for pairs;
+                # _canonical restores the least denominator at the end
+                k = p if type(d) is int else (d[0] // den[0], d[1] // den[1])
+                exps = [_times(e, k) for e in exps]
+                bound = None if bound is None else _times(bound, k)
+                den = d
+            v = exps[0]
+            del exps[0], coeffs[0]
+            if bound is None or n < bound:
+                i = bisect_left(exps, n)
+                if i < len(exps) and exps[i] == n:
+                    c = add(coeffs[i], r)
+                    if c:
+                        coeffs[i] = c
+                    else:
+                        del exps[i], coeffs[i]
+                else:
+                    exps.insert(i, n)
+                    coeffs.insert(i, r)
+            new = exps[0] if exps else bound
+            if new is not None and not new > v:
+                out = _canonical(field, exps, coeffs, den, bound)
+                # valuation() raises when nothing is visible, as in improve
+                raise NoImprovementError(f"improvement left the valuation at "
+                                         f"{out.valuation()} (was {GroupElt.packed(v, den)})")
+            levels.append(GroupElt.packed(exps[0], den) if exps else None)
+        return _canonical(field, exps, coeffs, den, bound), len(levels), levels
 
     # -- ring structure ----------------------------------------------------
 

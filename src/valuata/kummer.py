@@ -658,13 +658,17 @@ def normalize_h(h: CycloElt, budget: int = 16) -> NormalizeOutcome:
     any reasonable budget; the defect-evidence outcome exists for interface
     symmetry with the equal-characteristic engine.
     """
-    return normalize_loop(h, budget, _classify_step,
-                          lambda x, c: improve_h(x, c.g, c.i), _w_val_or_none)
+    return normalize_loop(h, budget, _classify_step, _advance, _w_val_or_none)
 
 
 def _classify_step(h: CycloElt):
     c = classify_h(h)
     return c, c.h
+
+
+def _advance(h: CycloElt, c: KummerClassification, room: int):
+    h = improve_h(h, c.g, c.i)
+    return h, 1, (_w_val_or_none(h),)
 
 
 def _w_val_or_none(h: CycloElt):

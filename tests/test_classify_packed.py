@@ -1,12 +1,15 @@
-"""classify and improve on the packed leading term against the GroupElt route.
+"""classify, improve and normalize on the packed leading term against the
+GroupElt route.
 
 The reference functions below are the decision tree and the rise check as
 written on boundary types: the valuation as a GroupElt, p-divisibility
 through is_p_divisible (tests/routes.py), the unit through shift(-v) and
-the root through the residue field's own pth_root.  The library reads the
-same answers off the packed leading exponent and coefficient; both routes
-must agree on every field of the classification and on every improve
-outcome, exceptions included.
+the root through the residue field's own pth_root.  The reference loop runs
+them one classify and one improve at a time, where normalize runs a chain
+of not-best steps as one SeriesElt.lead_run.  The library reads the same
+answers off the packed leading exponent and coefficient; both routes must
+agree on every field of the classification and on every improve and
+normalize outcome, exceptions included.
 """
 
 from fractions import Fraction
@@ -15,7 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from valuata.best_f import ASClassification, Verdict, classify, improve, normalize
+from valuata.best_f import (ASClassification, NormalizeOutcome, OutcomeKind, Verdict,
+                           classify, improve, normalize)
 from valuata.corpus import FieldSpec
 from valuata.errors import (InsufficientPrecisionError, NoImprovementError,
                             ValuataError)
@@ -41,7 +45,8 @@ def reference_classify(f):
                 Verdict.TRIVIAL,
                 note=f"f is zero to precision {f.precision} > 0")
         raise InsufficientPrecisionError(
-            "cannot classify: f is zero to working precision")
+            f"cannot classify: f is zero to working precision O(X^({f.precision})); "
+            f"only v(f) >= {f.precision} is known, and a bound above 0 would settle it")
     v = f.valuation()
     if v > zero:
         return ASClassification(Verdict.TRIVIAL, valuation=v,
@@ -81,6 +86,28 @@ def reference_improve(f, h):
     if not new > old:
         raise NoImprovementError(f"improvement left the valuation at {new} (was {old})")
     return out
+
+
+def reference_normalize(f, budget):
+    """The classify/improve loop, one step at a time."""
+    p = f.field.p
+    trajectory, steps = [], 0
+    while True:
+        c = reference_classify(f)
+        if c.is_trivial:
+            return NormalizeOutcome(OutcomeKind.TRIVIAL, p, None, c, steps, budget,
+                                    tuple(trajectory))
+        trajectory = trajectory or [f.valuation()]
+        if c.is_best or steps == budget:
+            kind = OutcomeKind.BEST_FOUND if c.is_best else OutcomeKind.DEFECT_EVIDENCE
+            return NormalizeOutcome(kind, p, f, c, steps, budget, tuple(trajectory))
+        f = reference_improve(f, c.improvement_h)
+        steps += 1
+        if not f.is_exact_zero():
+            try:
+                trajectory.append(f.valuation())
+            except InsufficientPrecisionError:
+                pass
 
 
 def outcome(fn, *args):
@@ -217,3 +244,47 @@ def test_chains_rise_on_both_routes(key):
         assert nxt == reference_improve(f, c.improvement_h)
         f = nxt
     assert normalize(_named(key, [lead], 0), 12).trajectory[-1] == f.valuation()
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(FIELDS)).flatmap(element), st.integers(0, 40))
+def test_normalize_matches_the_step_by_step_loop(f, budget):
+    assert outcome(normalize, f, budget) == outcome(reference_normalize, f, budget)
+
+
+# (field, exponents, bound, index into COEFFS, budget, expected kind or error,
+# steps)
+CHAINS = {
+    # 2*X^(-9) over GF(3): h = -2*X^(-3) and h**3 = -2*X^(-9), so the sign of
+    # h**p cancels the leading term; then 2*X^(-3), 2*X^(-1), best-i
+    "odd-p-sign": (("int", "gf:3"), [("-9",)], None, 1, 10, OutcomeKind.BEST_FOUND, 2),
+    # X^(-1/2) falls at the bound -1/2, leaving X^(-3/4) + O(X^(-1/2)),
+    # whose next term X^(-3/8) falls as well: zero to a negative bound
+    "bound-cuts": (("int-inv-p", "gf:2"), [("-1",), ("-3/4",)], ("-1/2",), 0, 10,
+                   InsufficientPrecisionError, None),
+    # X^(-4) + X^(-2) + X^(-3): X^(-2) from the first step cancels, X^(-3)
+    # is best-i
+    "merge-cancels": (("int", "gf:2"), [("-4",), ("-2",), ("-3",)], None, 0, 10,
+                      OutcomeKind.BEST_FOUND, 1),
+    # X^(-2) + X^(-1) cancels exactly: trivial after one step
+    "exact-zero": (("int", "gf:2"), [("-2",), ("-1",)], None, 0, 10, OutcomeKind.TRIVIAL, 1),
+    # the budget ends a rank-two defect chain after 5 of its steps
+    "budget-ends": (("lex2", "gf:4"), [("-1", "0")], None, 1, 5,
+                    OutcomeKind.DEFECT_EVIDENCE, 5),
+    # X^(-2) + X^(-1) + 1 + X over GF(4): the chain stops at 1, which is
+    # w**2 + w, and one improve step at valuation zero leaves X: trivial
+    "stops-at-zero": (("int", "gf:4"), [("-2",), ("-1",), ("0",), ("1",)], None, 1, 10,
+                      OutcomeKind.TRIVIAL, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHAINS))
+def test_named_chains_match_the_step_by_step_loop(name):
+    key, exps, bound, coeff, budget, expected, steps = CHAINS[name]
+    f = _named(key, exps, coeff, bound)
+    got = outcome(normalize, f, budget)
+    assert got == outcome(reference_normalize, f, budget)
+    if isinstance(got, NormalizeOutcome):
+        assert (got.kind, got.steps) == (expected, steps)
+    else:
+        assert got[0] is expected

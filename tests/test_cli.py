@@ -392,6 +392,13 @@ def test_zero_to_a_nonpositive_bound_still_exits_one(capsys, command, expr):
     assert "zero to working precision" in err
 
 
+def test_zero_to_precision_names_its_bound(capsys):
+    code, out, err = run(capsys, "analyze-as", "X^(-1) + O(X^(-3))", "--residue", "gf:2")
+    assert code == 1
+    assert not out
+    assert "O(X^(-3))" in err and "v(f) >= -3" in err
+
+
 def test_a_value_past_the_integer_digit_limit_exits_one(capsys):
     # the halving chain of X^(-1) over Z[1/2] reaches denominators 2**steps;
     # at the lowest digit limit Python allows, 2**2200 is past it
