@@ -12,71 +12,67 @@ popcount(p-1) - 1 extension products instead of p - 2.  The tests
 cross-check these norms and traces against the determinant and trace of
 the multiplication matrix (tests/routes.py).
 
-The valuation of a is v(N(a))/p, living in the p-divided hull of the base
-value group.  When f is best (best_f.classify, decided once per extension),
-1, alpha, ..., alpha**(p-1) is a valuation basis: the values i*v(f)/p lie in
-distinct cosets of the group (best-i), or the residues of the normalized
-powers of alpha are linearly independent over the residue field (best-ii,
-best-iii).  So v_L(sum a_i alpha**i) = min_i (v(a_i) + i*v(alpha)) with
-v(alpha) = v(f)/p, exactly (Engler and Prestel, Valued Fields, ch. 3).
-valuation_L takes m, the least v(a_i) + i*v(alpha) over the coordinates
-with a visible term, and answers m when every coordinate that is zero to
-its bound B_i has B_i + i*v(alpha) >= m, since such a coordinate cannot
-fall below m.  That answer is certified even where N(a) is zero to
-precision: it holds for every element the bounds allow.
+One best_f.normalize of f at construction (its default budget, 32 steps) is
+the extension's only decision about its generator.  The equation splits
+exactly when the chain ends trivial, some f + h**p - h reaching a positive
+valuation or zero; a chain still running at the budget (defect evidence)
+counts as not split, and one that cannot be certified raises here.  The
+power basis is a valuation basis exactly when f itself is best (0 steps).
 
-Otherwise, and for any f that is not best, valuation_L reads the
-valuation off the full norm, so it answers, or raises, exactly as v(N(a))
-does.  A relaxed norm of truncated coordinates (van der Hoeven, "Relax, but
-don't be too lazy", 2002) can find the same leading term sooner, but on the
-defect extensions of the benchmark's dense-groups workload the cut fell
-short of the whole element in 15 of 642 calls, so the norm is computed
-whole.
+The valuation of a is v(N(a))/p, in the p-divided hull of the base value
+group.  When f is best, 1, alpha, ..., alpha**(p-1) is a valuation basis:
+the values i*v(f)/p lie in distinct cosets of the group (best-i), or the
+residues of the normalized powers of alpha are linearly independent over
+the residue field (best-ii, best-iii).  So v_L(sum a_i alpha**i) =
+min_i (v(a_i) + i*v(alpha)) with v(alpha) = v(f)/p, exactly (Engler and
+Prestel, Valued Fields, ch. 3).  valuation_L takes m, the least
+v(a_i) + i*v(alpha) over the coordinates with a visible term, and answers m
+when every coordinate zero to its bound B_i has B_i + i*v(alpha) >= m, as
+such a coordinate cannot fall below m.  That answer is certified even where
+N(a) is zero to precision: it holds for every element the bounds allow.
+Otherwise, and for any f that is not best, valuation_L reads the valuation
+off one norm of the whole element, so it answers, or raises, exactly as
+v(N(a)) does.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
-from .errors import (ResidualAlphaComponentError, TrivialExtensionError,
-                     UsageError, ValuataError)
+from .best_f import NormalizeOutcome, OutcomeKind, normalize
+from .errors import ResidualAlphaComponentError, TrivialExtensionError, UsageError
 from .hahn_series import SeriesElt, SeriesField
 from .value_group import GroupElt
 
 
-def _triviality_witness(field: SeriesField, f: SeriesElt):
-    """Reason the equation splits over the base, or None.
-
-    It splits when v(f) > 0 (Hensel), when f is an exact zero, and when
-    v(f) = 0 with the residue of f of the form x**p - x, since shifting by
-    the lift of x lands back in the v > 0 case.
-    """
-    if f.is_exact_zero():
-        return "f is exactly zero"
-    v = f.valuation()
-    zero = field.group.zero()
-    if v > zero:
-        return f"v(f) = {v} > 0"
-    if v == zero:
-        x = field.residue.artin_schreier_preimage(f.residue_class())
-        if x is not None:
-            return f"residue of f equals x**p - x for x = {x}"
-    return None
+def _split_reason(out: NormalizeOutcome) -> str | None:
+    """Why the equation splits, from a trivial outcome of normalize; else None."""
+    if out.kind is not OutcomeKind.TRIVIAL:
+        return None
+    c = out.classification
+    why = c.note if c.valuation is None else f"v(f) = {c.valuation} > 0"
+    return why if out.steps == 0 else f"{why} after {out.steps} step(s) f -> f + h**p - h"
 
 
 @dataclass(frozen=True)
 class ASExtension:
-    """The extension ring K[alpha] with alpha**p - alpha = f."""
+    """The extension ring K[alpha] with alpha**p - alpha = f.  basis_v_alpha
+    is v(alpha) = v(f)/p when f is best, else None (module docstring)."""
 
     base: SeriesField
     f: SeriesElt
+    basis_v_alpha: GroupElt | None = field(init=False, compare=False, repr=False)
+    _split: str | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.f.field != self.base:
             raise UsageError("defining element lives in a different field")
-        object.__setattr__(self, "_trivial", _triviality_witness(self.base, self.f))
+        out = normalize(self.f)
+        best = out.kind is OutcomeKind.BEST_FOUND and out.steps == 0
+        object.__setattr__(self, "basis_v_alpha",
+                           out.classification.valuation.divide(self.p) if best else None)
+        object.__setattr__(self, "_split", _split_reason(out))
 
     @property
     def p(self) -> int:
@@ -84,24 +80,12 @@ class ASExtension:
 
     @property
     def trivial(self) -> bool:
-        return self._trivial is not None
+        return self._split is not None
 
     def require_nontrivial(self):
         if self.trivial:
             raise TrivialExtensionError(
-                f"the defining equation splits over the base: {self._trivial}")
-
-    @cached_property
-    def basis_v_alpha(self) -> GroupElt | None:
-        """v(alpha) = v(f)/p when f is best, so that the powers of alpha
-        form a valuation basis (module docstring); None otherwise, and when
-        classify cannot decide."""
-        from .best_f import classify    # best_f imports this module
-        try:
-            c = classify(self.f)
-        except ValuataError:
-            return None
-        return c.valuation.divide(self.p) if c.is_best else None
+                f"the defining equation splits over the base: {self._split}")
 
     def from_coeffs(self, coeffs) -> "ExtElt":
         cs = list(coeffs)

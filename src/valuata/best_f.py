@@ -38,7 +38,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .as_extension import ASExtension
 from .errors import InsufficientPrecisionError, MismatchError, NoImprovementError, UsageError
 from .hahn_series import SeriesElt, artin_schreier_shift
 from .value_group import GroupElt
@@ -264,15 +263,18 @@ def invariants(outcome: NormalizeOutcome) -> InvariantsReport:
     return InvariantsReport(1, p, 1, "unramified", swan)
 
 
-def classical_swan(f_star: SeriesElt, ext: ASExtension | None = None) -> GroupElt:
+def classical_swan(f_star: SeriesElt) -> GroupElt:
     """Swan conductor of a best element, computed two ways.
 
-    The direct value is -v(f_star).  The cross-check builds the extension,
-    inverts the generator there, and reads v(N(1/alpha)); the two must agree
-    exactly, and a disagreement raises rather than returning either value.
+    The direct value is -v(f_star).  The cross-check builds the extension of
+    f_star, inverts the generator there, and reads v(N(1/alpha)); the two
+    must agree exactly, and a disagreement raises rather than returning
+    either value.  Building the extension normalizes f_star once more, which
+    refuses an f_star whose equation splits.
     """
+    from .as_extension import ASExtension   # as_extension imports this module
     direct = -f_star.valuation()
-    ext = ext or ASExtension(f_star.field, f_star)
+    ext = ASExtension(f_star.field, f_star)
     ext.require_nontrivial()
     alpha = ext.alpha()
     via_norm = alpha.invert().norm().valuation()

@@ -268,7 +268,7 @@ def kummer_classification_dict(c) -> dict:
         "c_residue": _maybe(c.c_residue),
         "s_exponent": c.s_exponent,
         "improvement_g": _maybe(c.g, format_cyclo),
-        "improvement_i": c.i if c.g is not None else None,
+        "improvement_i": 1 if c.g is not None else None,
         "note": c.note,
     }
 

@@ -23,10 +23,16 @@ class ZeroToPrecisionError(InsufficientPrecisionError):
     """An element has no visible terms but is not known to be exactly zero.
 
     ``bound`` is the exponent below which the element is known to vanish.
+    The message names it, formatted here rather than in ``__str__``, so that
+    a bound too long to print still leaves a message to print.
     """
 
-    def __init__(self, message="zero to working precision", bound=None):
-        super().__init__(message)
+    def __init__(self, bound):
+        try:
+            known = f"only v >= {bound} is known"
+        except (UsageError, ValueError):
+            known = "its bound is too long to print"
+        super().__init__(f"zero to working precision: {known}")
         self.bound = bound
 
 

@@ -549,7 +549,6 @@ class KummerClassification:
     c_residue: object = None
     s_exponent: int | None = None
     g: CycloElt | None = None
-    i: int = 1
     note: str | None = None
 
     @property
@@ -599,7 +598,7 @@ def classify_h(h: CycloElt) -> KummerClassification:
     if ubar != k.one():
         g = field.lift_residue(root).invert()
         return KummerClassification(
-            KummerVerdict.NOT_BEST, work, valuation=v, g=g, i=1,
+            KummerVerdict.NOT_BEST, work, valuation=v, g=g,
             note="unit residue is a p-th power; rescaling to residue 1")
     w = work - one
     if w.valuation_is_above(field.threshold):
@@ -616,7 +615,7 @@ def classify_h(h: CycloElt) -> KummerClassification:
                                         note=note)
         g = (one + field.lift_residue(x) * field.z()).invert()
         return KummerClassification(
-            KummerVerdict.NOT_BEST, work, w_valuation=vw, g=g, i=1,
+            KummerVerdict.NOT_BEST, work, w_valuation=vw, g=g,
             note="residue of (h-1)/z^p has the split form x^p - x")
     if vw % p != 0:
         return KummerClassification(KummerVerdict.BEST_III, work,
@@ -631,15 +630,15 @@ def classify_h(h: CycloElt) -> KummerClassification:
                                     s_exponent=j, note=note)
     g = (one + field.lift_residue(root) * field.pi(j)).invert()
     return KummerClassification(KummerVerdict.NOT_BEST, work, w_valuation=vw,
-                                g=g, i=1)
+                                g=g)
 
 
-def improve_h(h: CycloElt, g: CycloElt, i: int = 1) -> CycloElt:
-    """Apply h -> h**i * g**p and insist v(h - 1) strictly rises."""
+def improve_h(h: CycloElt, g: CycloElt) -> CycloElt:
+    """Apply h -> h * g**p and insist v(h - 1) strictly rises."""
     field = h.field
     one = field.one()
     old = (h - one).valuation()
-    out = h.pow(i) * g.pow(field.p)
+    out = h * g.pow(field.p)
     new_w = out - one
     try:
         if not new_w.valuation() > old:
@@ -667,7 +666,7 @@ def _classify_step(h: CycloElt):
 
 
 def _advance(h: CycloElt, c: KummerClassification, room: int):
-    h = improve_h(h, c.g, c.i)
+    h = improve_h(h, c.g)
     return h, 1, (_w_val_or_none(h),)
 
 

@@ -1,9 +1,11 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from valuata import as_extension, best_f
 from valuata.as_extension import ASExtension, ExtElt
 from valuata.corpus import FieldSpec
 from valuata.dsl import parse_expr
@@ -221,3 +223,51 @@ def test_norm_takes_doubling_products(monkeypatch, p, products):
     monkeypatch.setattr(ExtElt, "__mul__", counted)
     x.norm()
     assert len(calls) == products
+
+
+# -- one decision per extension -------------------------------------------------
+
+DECIDED = [("gf2-laurent", "X^(-3)", False), ("gf2y-laurent", "y*X^(-2)", False),
+           ("gf4-laurent", "w", False), ("gf2-laurent", "X^(-6) + X^(-1)", False),
+           ("gf2-half-powers", "X^(-1)", False), ("gf2-laurent", "X^(2)", True),
+           ("gf2-laurent", "X^(-2) + X^(-1)", True), ("gf4-laurent", "1", True)]
+DECIDERS = [(as_extension, "normalize"), (best_f, "normalize"), (best_f, "classify")]
+
+
+def count_deciders(monkeypatch):
+    """Count every call of normalize and classify from here on."""
+    counts = Counter()
+    for module, name in DECIDERS:
+        original = getattr(module, name)
+
+        def wrapper(*args, _original=original, _name=f"{module.__name__}.{name}",
+                    **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+    return counts
+
+
+@pytest.mark.parametrize("preset, expr, splits", DECIDED)
+def test_construction_normalizes_once(monkeypatch, preset, expr, splits):
+    """The extension's one decision: a single normalize, read for both
+    trivial and basis_v_alpha; valuation_L asks for no other."""
+    field = _preset(preset)
+    f = parse_expr(expr, field)
+    counts = count_deciders(monkeypatch)
+    ext = ASExtension(field, f)
+    assert counts["valuata.as_extension.normalize"] == 1
+    assert ext.trivial is splits
+    counts.clear()
+    if not splits:
+        rng = random.Random(0)
+        for _ in range(3):
+            random_ext_elt(ext, rng, ge(-2), ge(2), generator=True).valuation_L()
+        ext.alpha().valuation_L()
+    assert not counts
+    monkeypatch.undo()
+    best = best_f.classify(f).is_best
+    assert (ext.basis_v_alpha is not None) is best
+    if best:
+        assert ext.basis_v_alpha == f.valuation().divide(ext.p)

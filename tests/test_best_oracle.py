@@ -14,6 +14,10 @@ reaches best-iii and the preimage step), is normalized and checked:
   every i; the best value the box reaches is v(f*), and Swan = -v(f*);
 * trivial: some h in the box for f gives a positive valuation, or an exact
   zero.
+
+The extension of every such f is held to the same search: its equation
+splits exactly when some h in the box of f gives a positive valuation or an
+exact zero.
 """
 
 import itertools
@@ -21,6 +25,7 @@ from functools import lru_cache
 
 import pytest
 
+from valuata.as_extension import ASExtension
 from valuata.best_f import OutcomeKind, invariants, normalize
 from valuata.corpus import FieldSpec
 from valuata.value_group import INFINITY, ge
@@ -78,3 +83,14 @@ def test_normalize_agrees_with_the_box_search(residue):
     assert {c.value for c in verdicts} >= {"best-i", "trivial"}
     if hi == 0:
         assert "best-iii" in {c.value for c in verdicts}
+
+
+@pytest.mark.parametrize("residue", sorted(BOXES))
+def test_extension_splits_exactly_where_the_box_search_splits(residue):
+    field = FIELDS[residue]
+    lo, hi = BOXES[residue]
+    for f in all_series(field, lo, hi):
+        if f.is_exact_zero():
+            continue
+        splits = any(v is INFINITY or v > ge(0) for v in box_values(residue, f))
+        assert ASExtension(field, f).trivial is splits, f

@@ -6,6 +6,7 @@ import pytest
 from valuata import cli
 from valuata.cli import main
 from valuata.corpus import FieldSpec
+from valuata.errors import ZeroToPrecisionError
 from valuata.value_group import ge
 
 
@@ -146,6 +147,34 @@ def test_verify_norm_ideal_refuses_trivial_extension(capsys):
     code, out, err = run(capsys, "verify-norm-ideal", "X^(2)")
     assert code == 1
     assert "error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    # alpha = X^(-1) is a root: X^(-2) + X^(-1) = h**2 - h for h = X^(-1)
+    ("X^(-2) + X^(-1)",),
+    ("X^(-1) + X^(-1/4)", "--field", "gf2-half-powers"),
+])
+def test_verify_norm_ideal_refuses_a_split_after_improvement(capsys, argv):
+    code, out, err = run(capsys, "verify-norm-ideal", *argv, "--count", "2")
+    assert code == 1
+    assert not out
+    assert "splits over the base" in err and "step" in err
+
+
+def test_verify_norm_ideal_refuses_a_zero_to_a_positive_bound(capsys):
+    code, out, err = run(capsys, "verify-norm-ideal", "X^(30) + O(X^(24))",
+                         "--field", "gf4-laurent", "--count", "2")
+    assert code == 1
+    assert not out
+    assert "splits over the base" in err and "24" in err
+
+
+def test_verify_norm_ideal_refuses_an_uncertified_chain(capsys):
+    code, out, err = run(capsys, "verify-norm-ideal", "X^(-2) + O(X^(-1))",
+                         "--count", "2")
+    assert code == 1
+    assert not out
+    assert "O(X^(-1))" in err
 
 
 # -- run-corpus ------------------------------------------------------------------
@@ -397,6 +426,34 @@ def test_zero_to_precision_names_its_bound(capsys):
     assert code == 1
     assert not out
     assert "O(X^(-3))" in err and "v(f) >= -3" in err
+
+
+def test_zero_to_working_precision_names_its_bound(capsys):
+    code, out, err = run(capsys, "classify-kummer", "0", "--p", "3")
+    assert code == 1
+    assert not out
+    assert err == "error: zero to working precision: only v >= 96 is known\n"
+
+
+def test_a_bound_past_the_integer_digit_limit_still_has_a_message(capsys, monkeypatch):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        bound = ge(-1).divide(2 ** 2200)
+        exc = ZeroToPrecisionError(bound)
+
+        def raising(f):
+            raise exc
+
+        monkeypatch.setattr(cli, "classify", raising)
+        code, out, err = run(capsys, "analyze-as", "X^(-1)")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert exc.bound == bound
+    assert code == 1
+    assert not out
+    assert err == ("error: zero to working precision: "
+                   "its bound is too long to print\n")
 
 
 def test_a_value_past_the_integer_digit_limit_exits_one(capsys):

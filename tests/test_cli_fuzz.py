@@ -8,6 +8,10 @@ stay single digits, separated by spaces: ``^`` takes about 2*log2(n)
 products, but the exact result of a power can still have a number of terms
 that grows with n, such as (1 + X)^n over GF(3) with the product of d + 1
 over the base-3 digits d of n, and nothing yet bounds that work.
+
+One property spans two commands: on well-formed generators over the field
+presets, verify-norm-ideal refuses exactly those whose normalize-as run ends
+trivial.
 """
 
 import io
@@ -112,6 +116,46 @@ def test_cli_gives_a_report_or_a_message(argv):
     else:
         # exit 1, or 2 when a theorem check fails before the report
         assert code in (1, 2) and err.strip(), argv
+
+
+PRESET_EXPONENTS = {"int": ["-4", "-3", "-2", "-1", "0", "1"],
+                    "int-inv-p": ["-2", "-1", "-1/2", "-1/4", "0", "1/2"],
+                    "rat": ["-1", "-2/3", "-1/2", "-1/3", "0", "1/3"],
+                    "lex2": ["(-1, 0)", "(-2, 0)", "(0, -1)", "(-1/2, 2)", "(0, 0)"]}
+PRESET_COEFFS = {"gf:3": ["1", "2"], "gf:4": ["1", "w", "(1 + w)"],
+                 "ratfunc:2": ["1", "y", "(1 + y)"], "ratfunc:3": ["1", "2", "y"]}
+
+
+@st.composite
+def series_requests(draw):
+    """A generator over a named preset, in its own exponents and
+    coefficients, with an optional bound and precision."""
+    preset = draw(st.sampled_from(sorted(FIELD_PRESETS)))
+    spec = FIELD_PRESETS[preset]
+    exps = st.sampled_from(PRESET_EXPONENTS[spec.group])
+    coeffs = st.sampled_from(PRESET_COEFFS.get(spec.residue, ["1"]))
+    terms = draw(st.lists(st.tuples(coeffs, exps), min_size=1, max_size=3))
+    expr = " + ".join(f"{c}*X^({e})" for c, e in terms)
+    if draw(st.booleans()):
+        expr += f" + O(X^({draw(exps)}))"
+    request = [expr, "--field", preset]
+    if draw(st.booleans()):
+        request += ["--precision", draw(st.sampled_from(["2", "6"]))]
+    return request
+
+
+@settings(max_examples=120, deadline=None)
+@given(series_requests())
+def test_verify_norm_ideal_runs_only_where_normalize_does_not_split(request):
+    """verify-norm-ideal refuses a generator exactly when normalize-as, with
+    the extension's budget, ends trivial."""
+    code, _, err = run(["verify-norm-ideal", *request, "--count", "1"])
+    normalized, out, _ = run(["normalize-as", *request, "--budget", "32"])
+    trivial = normalized == 0 and json.loads(out)["outcome"] == "trivial"
+    if code == 0:
+        assert normalized == 0 and not trivial, request
+    if trivial:
+        assert code == 1 and "splits over the base" in err, request
 
 
 @settings(max_examples=150, deadline=None)
