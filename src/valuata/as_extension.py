@@ -13,7 +13,9 @@ cross-check these norms and traces against the determinant and trace of
 the multiplication matrix (tests/routes.py).
 
 One best_f.normalize of f at construction (its default budget, 32 steps) is
-the extension's only decision about its generator.  The equation splits
+the extension's only decision about its generator; a caller that has
+already certified the outcome for f itself (a Swan cross-check of a best f)
+passes it as known instead, and f is not normalized again.  The equation splits
 exactly when the chain ends trivial, some f + h**p - h reaching a positive
 valuation or zero; a chain still running at the budget (defect evidence)
 counts as not split, and one that cannot be certified raises here.  The
@@ -38,7 +40,7 @@ v(N(a)) does.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 from .best_f import NormalizeOutcome, OutcomeKind, normalize
 from .errors import ResidualAlphaComponentError, TrivialExtensionError, UsageError
@@ -62,13 +64,14 @@ class ASExtension:
 
     base: SeriesField
     f: SeriesElt
+    known: InitVar[NormalizeOutcome | None] = None
     basis_v_alpha: GroupElt | None = field(init=False, compare=False, repr=False)
     _split: str | None = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, known):
         if self.f.field != self.base:
             raise UsageError("defining element lives in a different field")
-        out = normalize(self.f)
+        out = normalize(self.f) if known is None else known
         best = out.kind is OutcomeKind.BEST_FOUND and out.steps == 0
         object.__setattr__(self, "basis_v_alpha",
                            out.classification.valuation.divide(self.p) if best else None)

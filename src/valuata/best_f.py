@@ -263,18 +263,30 @@ def invariants(outcome: NormalizeOutcome) -> InvariantsReport:
     return InvariantsReport(1, p, 1, "unramified", swan)
 
 
-def classical_swan(f_star: SeriesElt) -> GroupElt:
+def settled(c, x) -> NormalizeOutcome | None:
+    """The zero-step outcome of a classification c of x that needs no
+    improvement (best-found or trivial), for either engine; None for an
+    improvable one."""
+    if c.is_trivial:
+        return NormalizeOutcome(OutcomeKind.TRIVIAL, x.field.p, None, c, 0, 0, ())
+    if c.is_best:
+        return NormalizeOutcome(OutcomeKind.BEST_FOUND, x.field.p, x, c, 0, 0, ())
+    return None
+
+
+def classical_swan(f_star: SeriesElt, known: NormalizeOutcome | None = None) -> GroupElt:
     """Swan conductor of a best element, computed two ways.
 
     The direct value is -v(f_star).  The cross-check builds the extension of
     f_star, inverts the generator there, and reads v(N(1/alpha)); the two
     must agree exactly, and a disagreement raises rather than returning
-    either value.  Building the extension normalizes f_star once more, which
-    refuses an f_star whose equation splits.
+    either value.  The extension takes known, the outcome a caller has
+    already certified for f_star itself, and otherwise normalizes f_star
+    once more, which refuses an f_star whose equation splits.
     """
     from .as_extension import ASExtension   # as_extension imports this module
     direct = -f_star.valuation()
-    ext = ASExtension(f_star.field, f_star)
+    ext = ASExtension(f_star.field, f_star, known)
     ext.require_nontrivial()
     alpha = ext.alpha()
     via_norm = alpha.invert().norm().valuation()

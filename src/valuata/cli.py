@@ -28,7 +28,7 @@ import random
 import sys
 
 from .as_extension import ASExtension
-from .best_f import NormalizeOutcome, OutcomeKind, classify, invariants, normalize
+from .best_f import classify, invariants, normalize, settled
 from .corpus import (FIELD_PRESETS, FieldSpec, as_classification_dict,
                      as_normalize_body, invariants_dict,
                      kummer_classification_dict, kummer_normalize_body,
@@ -78,24 +78,14 @@ def _cyclo_input(args):
     return spec, parse_expr(args.expr, spec.build())
 
 
-def _settled(c, x):
-    """The zero-step outcome of a classification of x that needs no
-    improvement (best-found or trivial); None for an improvable one."""
-    if c.is_trivial:
-        return NormalizeOutcome(OutcomeKind.TRIVIAL, x.field.p, None, c, 0, 0, ())
-    if c.is_best:
-        return NormalizeOutcome(OutcomeKind.BEST_FOUND, x.field.p, x, c, 0, 0, ())
-    return None
-
-
 def cmd_analyze_as(args):
     spec, f = _series_input(args)
     c = classify(f)
-    outcome = _settled(c, f)
+    outcome = settled(c, f)
     report = {"classification": as_classification_dict(c),
               "invariants": None if outcome is None
               else invariants_dict(invariants(outcome)),
-              "swan_check": swan_check(f) if c.is_best else None}
+              "swan_check": swan_check(f, c) if c.is_best else None}
     return report, spec
 
 
@@ -108,7 +98,7 @@ def cmd_normalize_as(args):
 def cmd_classify_kummer(args):
     spec, h = _cyclo_input(args)
     c = classify_h(h)
-    outcome = _settled(c, c.h)
+    outcome = settled(c, c.h)
     report = {"classification": kummer_classification_dict(c),
               "invariants": None if outcome is None
               else invariants_dict(kummer_invariants(outcome))}

@@ -14,10 +14,11 @@ the body (see run_entry), so the corpus checks the CLI's own report.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 
-from .best_f import OutcomeKind, classical_swan, invariants, normalize
+from .best_f import OutcomeKind, classical_swan, invariants, normalize, settled
 from .dsl import parse_expr
 from .errors import UsageError
 from .hahn_series import SeriesField, format_series
@@ -44,23 +45,11 @@ class FieldSpec:
     with_y: bool = False
 
     def build(self):
-        if self.kind == "cyclo":
-            return CycloField(self.p, self.m, self.with_y, self.precision)
-        if self.kind != "series":
-            raise UsageError(f"unknown field kind {self.kind!r}")
-        residue = self._residue_field()
-        try:
-            kind = GroupKind(self.group)
-        except ValueError:
-            names = ", ".join([k.value for k in GroupKind])
-            raise UsageError(f"unknown value group {self.group!r}; "
-                             f"the groups are {names}") from None
-        group = ValueGroup(kind, residue.p)
-        if group.rank == 2:
-            prec = ge(self.precision, 0)
-        else:
-            prec = ge(self.precision)
-        return SeriesField(residue, group, prec)
+        """The field this spec describes: one instance per parameter set,
+        built on the first request for it and kept in a bounded cache
+        (_build), so later requests share the field and the rings and
+        tables it caches.  Nothing is built at import."""
+        return _build(self)
 
     def _residue_field(self):
         tag, _, q_text = self.residue.partition(":")
@@ -82,6 +71,24 @@ class FieldSpec:
                     "with_y": self.with_y, "precision": self.precision}
         return {"kind": "series", "residue": self.residue, "group": self.group,
                 "precision": self.precision}
+
+
+@functools.lru_cache(maxsize=128)
+def _build(spec: FieldSpec):
+    if spec.kind == "cyclo":
+        return CycloField(spec.p, spec.m, spec.with_y, spec.precision)
+    if spec.kind != "series":
+        raise UsageError(f"unknown field kind {spec.kind!r}")
+    residue = spec._residue_field()
+    try:
+        kind = GroupKind(spec.group)
+    except ValueError:
+        names = ", ".join([k.value for k in GroupKind])
+        raise UsageError(f"unknown value group {spec.group!r}; "
+                         f"the groups are {names}") from None
+    group = ValueGroup(kind, residue.p)
+    prec = ge(spec.precision, 0) if group.rank == 2 else ge(spec.precision)
+    return SeriesField(residue, group, prec)
 
 
 def _prime_power(q: int):
@@ -273,9 +280,11 @@ def kummer_classification_dict(c) -> dict:
     }
 
 
-def swan_check(f_star) -> dict:
-    """Swan conductor of a best element, cross-checked through norms."""
-    return {"conductor": str(classical_swan(f_star)), "agree": True}
+def swan_check(f_star, c) -> dict:
+    """Swan conductor of a best element, cross-checked through norms; c is
+    the classification that certified f_star best, so the check does not
+    normalize f_star again."""
+    return {"conductor": str(classical_swan(f_star, settled(c, f_star))), "agree": True}
 
 
 def as_normalize_body(outcome) -> dict:
@@ -289,7 +298,7 @@ def as_normalize_body(outcome) -> dict:
         "invariants": invariants_dict(invariants(outcome)),
         "f_star": _maybe(outcome.f_star, format_series),
         "classification": as_classification_dict(outcome.classification),
-        "swan_check": swan_check(outcome.f_star) if best else None,
+        "swan_check": swan_check(outcome.f_star, outcome.classification) if best else None,
     }
 
 

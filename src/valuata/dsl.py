@@ -136,7 +136,10 @@ class _Parser:
             n = self.int_exponent()
             if n < 0:
                 base, n = base.invert(), -n
-            return power(base, n, self.b.integer(1))
+            one = self.b.integer(1)
+            # x^1 is the product 1 * x, as the printed layout of a
+            # cyclotomic symbol (pi, z) differs from a product's
+            return one * base if n == 1 else power(base, n, one)
         return base
 
     def atom(self):

@@ -8,12 +8,24 @@ that folds pi**D back down comes from the minimal polynomial of zeta_p:
     z**(p-1) = -sum(binomial(p, k) * z**(k-1) for k = 1..p-1)
 
 Every coefficient on the right is divisible by p, so folding terminates.
-Elements carry a power-of-pi shift, a coefficient vector modulo p**nprec,
-and a per-element nprec: the element is known modulo pi**(shift + nprec*D).
-Dividing by a power of pi only moves the shift and costs nothing; what
-costs precision is renormalizing a significand whose valuation is positive,
-which divides coefficients by p.  All such costs are tracked, and valuative
-comparisons the data cannot certify raise instead of guessing.
+
+A CycloBase is pi**shift times a vector over 1, pi, ..., pi**(D-1) with
+coefficients in [0, p**nprec): it is known modulo pi**(shift + nprec*D).  A
+CycloElt is num/den, tuples of CycloBase coefficients of y**0, y**1, ...,
+one each without y.  Both are __slots__ classes with value equality.  A
+shift by a power of pi is free; renormalizing a significand of positive
+valuation divides coefficients by p and costs precision.  All such costs
+are tracked, and valuative comparisons the data cannot certify raise
+instead of guessing.
+
+The field, built once per parameter set (corpus.FieldSpec.build), holds D,
+the nonzero fold terms and the moduli p**n.  A sum or product is gathered
+in one integer vector, folded below D and reduced once per result.  A
+coefficient of a polynomial product, or one that only one operand of a
+polynomial sum has, is laid out as its sum with zero would be: at shift
+min(0, s).  invert returns that layout too, so 1 * x == x for every product
+and inverse.  Elements with denominator 1 share the field's unit
+denominator, and their product takes it without computing 1 * 1.
 
 A generator h of the equation alpha**p = h (taken in the valuation ring) is
 best when no substitution h -> h**i * g**p gets v(h - 1) closer to the
@@ -29,7 +41,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property, partial
 
 from .best_f import (InvariantsReport, NormalizeOutcome, OutcomeKind,
                      invariants, normalize_loop)
@@ -41,7 +53,11 @@ from .value_group import ge
 
 @dataclass(frozen=True)
 class CycloField:
-    """Parameters of K = Q_p(zeta_p, pi) with pi**m = zeta_p - 1."""
+    """K = Q_p(zeta_p, pi) with pi**m = zeta_p - 1, compared by (p, m,
+    with_y, nprec).  degree is D = m*(p-1), also v(p); threshold is
+    v(z**p) = m*p, beyond which the Kummer equation splits; pi**D is the sum
+    of r * pi**j over the (j, r) in fold, the folded z**(p-1); mods(n) is
+    p**n, computed once; unit is the denominator 1 that elements share."""
 
     p: int
     m: int = 1
@@ -49,22 +65,19 @@ class CycloField:
     nprec: int = 48
 
     def __post_init__(self):
-        if not _is_prime(self.p):
-            raise UsageError(f"{self.p} is not prime")
-        if self.m < 1:
+        p, m = self.p, self.m
+        if not _is_prime(p):
+            raise UsageError(f"{p} is not prime")
+        if m < 1:
             raise UsageError("the ramification parameter m must be positive")
         if self.nprec < 2:
             raise UsageError("padic precision must be at least 2")
-
-    @property
-    def degree(self) -> int:
-        """D = m*(p-1), the absolute ramification index; also v(p)."""
-        return self.m * (self.p - 1)
-
-    @property
-    def threshold(self) -> int:
-        """v(z**p) = m*p; beyond it the Kummer equation splits."""
-        return self.m * self.p
+        # derived once, beside the frozen fields
+        derived = self.__dict__
+        derived.update(degree=m * (p - 1), threshold=m * p, mods=cache(partial(pow, p)),
+                       fold=tuple((m * (k - 1), -math.comb(p, k)) for k in range(1, p)))
+        derived.update(_zero=self._const(0), unit=(self._const(1),))
+        derived["_one"] = CycloElt(self, self.unit, self.unit)
 
     @cached_property
     def residue(self):
@@ -72,60 +85,31 @@ class CycloField:
         base = GF(self.p)
         return RatFunc(base) if self.with_y else base
 
-    # -- base-ring constructors ----------------------------------------------
-
-    def _base(self, shift, coeffs, nprec) -> "CycloBase":
-        mod = self.p ** nprec
-        return CycloBase(self, shift, tuple(c % mod for c in coeffs), nprec)
-
-    def base_zero(self, nprec=None) -> "CycloBase":
-        n = self.nprec if nprec is None else nprec
-        return self._base(0, (0,) * self.degree, n)
-
-    def base_one(self) -> "CycloBase":
-        return self.base_from_int(1)
-
-    def base_from_int(self, value: int) -> "CycloBase":
-        coeffs = [value] + [0] * (self.degree - 1)
-        return self._base(0, coeffs, self.nprec)
-
-    def base_pi(self, power: int = 1) -> "CycloBase":
-        """The monomial pi**power, any integer power."""
-        coeffs = [0] * self.degree
-        coeffs[0] = 1
-        return self._base(power, coeffs, self.nprec)
-
-    @cached_property
-    def _fold_rule(self) -> tuple:
-        """pi**degree equals sum(rule[j] * pi**j): the folded z**(p-1)."""
-        rule = [0] * self.degree
-        for k in range(1, self.p):
-            rule[self.m * (k - 1)] -= math.comb(self.p, k)
-        return tuple(rule)
+    def _const(self, value: int) -> "CycloBase":
+        return CycloBase(self, 0, (value % self.mods(self.nprec),)
+                         + (0,) * (self.degree - 1), self.nprec)
 
     @cached_property
     def _w0_inverse(self) -> "CycloBase":
         """1/w0 for the unit w0 with z**(p-1) = -p * w0, so w0 = -rule/p;
         used to divide by powers of z."""
-        w0 = [-r // self.p for r in self._fold_rule]
-        return self._base(0, w0, self.nprec).invert()
-
-    # -- public element constructors ------------------------------------------
+        w0 = [0] * self.degree
+        for j, r in self.fold:
+            w0[j] = -r // self.p
+        return _settled(self, w0, 0, self.nprec).invert()
 
     def zero(self) -> "CycloElt":
-        return CycloElt(self, (self.base_zero(),), (self.base_one(),))
+        return CycloElt(self, (self._zero,), self.unit)
 
     def one(self) -> "CycloElt":
-        return self.from_int(1)
+        return self._one
 
     def from_int(self, value: int) -> "CycloElt":
-        return CycloElt(self, (self.base_from_int(value),), (self.base_one(),))
-
-    def from_base(self, b: "CycloBase") -> "CycloElt":
-        return CycloElt(self, (b,), (self.base_one(),))
+        return CycloElt(self, (self._const(value),), self.unit)
 
     def pi(self, power: int = 1) -> "CycloElt":
-        return self.from_base(self.base_pi(power))
+        """The monomial pi**power, any integer power."""
+        return CycloElt(self, (self.unit[0].div_pi(-power),), self.unit)
 
     def z(self) -> "CycloElt":
         return self.pi(self.m)
@@ -133,8 +117,7 @@ class CycloField:
     def y_gen(self) -> "CycloElt":
         if not self.with_y:
             raise UsageError("this field has no y; construct it with with_y=True")
-        return CycloElt(self, (self.base_zero(), self.base_one()),
-                        (self.base_one(),))
+        return CycloElt(self, (self._zero, self.unit[0]), self.unit)
 
     def lift_residue(self, r) -> "CycloElt":
         """Monomial-style lift: integers lift integer coefficients, y lifts y."""
@@ -147,99 +130,125 @@ class CycloField:
             num, den = k.prime_coeffs(r)
             if not num:
                 return self.zero()
-            return CycloElt(self, tuple(map(self.base_from_int, num)),
-                            tuple(map(self.base_from_int, den)))
+            den = self.unit if den == (1,) else tuple(map(self._const, den))
+            return CycloElt(self, tuple(map(self._const, num)), den)
         return self.from_int(r.code)
 
 
-@dataclass(frozen=True)
+def _check(a, b):
+    """a and b combine: same class, and the same field, by identity first."""
+    if type(b) is not type(a):
+        raise TypeError(f"cannot combine {type(a).__name__} with {type(b).__name__}")
+    if b.field is not a.field and b.field != a.field:
+        raise UsageError("elements of different p-adic fields")
+
+
+def _settled(field: CycloField, raw: list, shift: int, nprec: int) -> "CycloBase":
+    """pi**shift * sum(raw[i] * pi**i) with the degrees D and up folded down
+    from the top and every coefficient reduced mod p**nprec: the one
+    reduction of a result.  raw is consumed."""
+    D = field.degree
+    fold = field.fold
+    for d in range(len(raw) - 1, D - 1, -1):
+        c = raw[d]
+        if c:
+            for j, r in fold:
+                raw[d - D + j] += c * r
+    mod = field.mods(nprec)
+    return CycloBase(field, shift, tuple([c % mod for c in raw[:D]]), nprec)
+
+
+def _products(field: CycloField, pairs, laid: bool) -> "CycloBase":
+    """The sum of x * y over the pairs, gathered in one vector at the least
+    shift of a product, or at min(0, that shift) when laid (the module
+    docstring's layout); nprec is the least of the operands'."""
+    shifts = [x.shift + y.shift for x, y in pairs]
+    low = min(shifts)
+    if laid and low > 0:
+        low = 0
+    raw = [0] * (2 * field.degree - 1 + max(shifts) - low)
+    nprec = field.nprec
+    for (x, y), s in zip(pairs, shifts):
+        nprec = min(nprec, x.nprec, y.nprec)
+        ys = y.coeffs
+        for i, a in enumerate(x.coeffs, s - low):
+            if a:
+                for j, b in enumerate(ys, i):
+                    if b:
+                        raw[j] += a * b
+    return _settled(field, raw, low, nprec)
+
+
 class CycloBase:
-    """pi**shift times a coefficient vector over 1, pi, ..., pi**(D-1),
-    with coefficients known modulo p**nprec."""
+    """pi**shift times a coefficient vector over 1, pi, ..., pi**(D-1), with
+    coefficients reduced modulo p**nprec.  Built by the field and the
+    arithmetic, which reduce; instances are never mutated."""
 
-    field: CycloField
-    shift: int
-    coeffs: tuple[int, ...]
-    nprec: int
+    __slots__ = ("field", "shift", "coeffs", "nprec")
 
-    def _check(self, other):
+    def __init__(self, field: CycloField, shift: int, coeffs: tuple, nprec: int):
+        self.field = field
+        self.shift = shift
+        self.coeffs = coeffs
+        self.nprec = nprec
+
+    def __eq__(self, other):
         if not isinstance(other, CycloBase):
-            raise TypeError(f"cannot combine CycloBase with {type(other).__name__}")
-        if other.field != self.field:
-            raise UsageError("elements of different p-adic fields")
+            return NotImplemented
+        return (self.shift == other.shift and self.coeffs == other.coeffs
+                and self.nprec == other.nprec
+                and (self.field is other.field or self.field == other.field))
+
+    def __hash__(self):
+        return hash((self.shift, self.coeffs, self.nprec))
 
     @property
     def bound(self) -> int:
         """The element is known modulo pi**bound."""
         return self.shift + self.nprec * self.field.degree
 
-    def is_represented_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    # -- arithmetic ------------------------------------------------------------
-
-    def _reduce(self, raw, shift, nprec) -> "CycloBase":
-        """Fold degrees >= D down through the defining relation."""
-        D = self.field.degree
-        rule = self.field._fold_rule
-        raw = list(raw)
-        for d in range(len(raw) - 1, D - 1, -1):
-            c = raw[d]
-            if c:
-                raw[d] = 0
-                for j, r in enumerate(rule):
-                    if r:
-                        raw[d - D + j] += c * r
-        return self.field._base(shift, raw[:D] + [0] * (D - len(raw)), nprec)
-
     def __add__(self, other):
-        self._check(other)
-        n = min(self.nprec, other.nprec)
+        _check(self, other)
         lo, hi = (self, other) if self.shift <= other.shift else (other, self)
         off = hi.shift - lo.shift
-        raw = list(lo.coeffs) + [0] * off
-        for i, c in enumerate(hi.coeffs):
-            raw[i + off] += c
-        return self._reduce(raw, lo.shift, n)
+        if off:
+            raw = list(lo.coeffs) + [0] * off
+            for i, c in enumerate(hi.coeffs, off):
+                raw[i] += c
+        else:
+            raw = [a + b for a, b in zip(lo.coeffs, hi.coeffs)]
+        return _settled(self.field, raw, lo.shift, min(self.nprec, other.nprec))
 
     def __neg__(self):
-        return self.field._base(self.shift, tuple(-c for c in self.coeffs), self.nprec)
+        mod = self.field.mods(self.nprec)
+        return CycloBase(self.field, self.shift,
+                         tuple([mod - c if c else 0 for c in self.coeffs]), self.nprec)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        self._check(other)
-        n = min(self.nprec, other.nprec)
-        raw = [0] * (2 * self.field.degree - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    raw[i + j] += a * b
-        return self._reduce(raw, self.shift + other.shift, n)
+        _check(self, other)
+        return _products(self.field, ((self, other),), False)
 
     def div_pi(self, t: int) -> "CycloBase":
         """Divide by pi**t: a pure shift move, free of precision cost."""
         return CycloBase(self.field, self.shift - t, self.coeffs, self.nprec)
 
-    # -- valuation and residue ---------------------------------------------------
-
     def valuation(self) -> int:
         """Normalized valuation with v(pi) = 1; raises when nothing is visible."""
+        p, D = self.field.p, self.field.degree
         best = None
-        mod = self.field.p ** self.nprec
-        D = self.field.degree
         for r, c in enumerate(self.coeffs):
-            c %= mod
-            if c == 0:
-                continue
-            vp = 0
-            while c % self.field.p == 0:
-                c //= self.field.p
-                vp += 1
-            cand = vp * D + r
-            if best is None or cand < best:
-                best = cand
+            if c:
+                vp = 0
+                while c % p == 0:
+                    c //= p
+                    vp += 1
+                if best is None or vp * D + r < best:
+                    best = vp * D + r
+                if not vp:
+                    break       # no later coefficient can come lower
         if best is None:
             raise ZeroToPrecisionError(bound=self.bound)
         return best + self.shift
@@ -256,86 +265,69 @@ class CycloBase:
             return 0
         if v < level:
             raise UsageError("residue taken below the valuation")
-        t = v - self.shift
-        r = t % self.field.degree
-        vp = t // self.field.degree
+        p = self.field.p
+        vp, r = divmod(v - self.shift, self.field.degree)
         # p = -z**(p-1) * w0**(-1) and w0 has residue 1, so each power of p
         # extracted from the coefficient contributes a sign.
-        sign = -1 if (vp % 2 and self.field.p != 2) else 1
-        return sign * (self.coeffs[r] // self.field.p ** vp) % self.field.p
-
-    # -- inversion -----------------------------------------------------------------
+        sign = -1 if (vp % 2 and p != 2) else 1
+        return sign * (self.coeffs[r] // p ** vp) % p
 
     def _divide_significand(self, t: int) -> "CycloBase":
         """Extract pi**t from the significand; costs about t/D + t%D precision."""
+        field = self.field
         out = self
-        D = self.field.degree
-        while t >= D:
-            out = out * (-self.field._w0_inverse)
+        while t >= field.degree:
+            out = out * (-field._w0_inverse)
             if out.nprec <= 1:
                 raise InsufficientPrecisionError("significand renormalization exhausted precision")
-            if any(c % self.field.p for c in out.coeffs):
+            if any(c % field.p for c in out.coeffs):
                 raise UsageError("significand valuation below the requested extraction")
-            coeffs = tuple(c // self.field.p for c in out.coeffs)
-            out = self.field._base(out.shift, coeffs, out.nprec - 1)
-            t -= D
+            out = CycloBase(field, out.shift, tuple([c // field.p for c in out.coeffs]),
+                            out.nprec - 1)
+            t -= field.degree
         for _ in range(t):
-            out = out._div_pi_once()
+            if out.nprec <= 1:
+                raise InsufficientPrecisionError("significand renormalization exhausted precision")
+            c0, n = out.coeffs[0], out.nprec - 1
+            if c0 % field.p:
+                raise UsageError("significand is a unit; cannot extract pi")
+            body = _settled(field, list(out.coeffs[1:]) + [0], out.shift, n)
+            if c0:
+                head = CycloBase(field, out.shift, (0,) * (field.degree - 1) + (1,), n)
+                body = body + head * (-field._w0_inverse) * field._const(c0 // field.p)
+            out = body
         return out
-
-    def _div_pi_once(self) -> "CycloBase":
-        D = self.field.degree
-        p = self.field.p
-        if self.nprec <= 1:
-            raise InsufficientPrecisionError("significand renormalization exhausted precision")
-        c0 = self.coeffs[0]
-        if c0 % p:
-            raise UsageError("significand is a unit; cannot extract pi")
-        body = self.field._base(self.shift, self.coeffs[1:] + (0,), self.nprec - 1)
-        if c0 == 0:
-            return body
-        head = self.field._base(self.shift, (0,) * (D - 1) + (1,), self.nprec - 1)
-        correction = head * (-self.field._w0_inverse) * self.field.base_from_int(c0 // p)
-        return body + correction
 
     def invert(self) -> "CycloBase":
         """Newton iteration from the residue inverse; shifts are free, a
-        positively valued significand is renormalized first at its cost."""
+        positively valued significand is renormalized first at its cost.
+        The iteration stops early at its fixed point, the inverse."""
         v = self.valuation()
         t = v - self.shift
         unit = self._divide_significand(t) if t else self
-        p = self.field.p
-        c0 = unit.coeffs[0] % p
-        x = self.field._base(0, (pow(c0, p - 2, p),) + (0,) * (self.field.degree - 1),
-                             unit.nprec)
-        steps = max(1, (unit.nprec * self.field.degree).bit_length() + 1)
-        two = self.field.base_from_int(2)
-        sig = self.field._base(0, unit.coeffs, unit.nprec)
-        for _ in range(steps):
-            x = x * (two - sig * x)
-        check = sig * x
-        one = self.field._base(0, (1,) + (0,) * (self.field.degree - 1), unit.nprec)
-        if check.coeffs != one.coeffs:
+        field, p, n = self.field, self.field.p, unit.nprec
+        sig = CycloBase(field, 0, unit.coeffs, n)
+        x = CycloBase(field, 0, (pow(unit.coeffs[0] % p, p - 2, p),)
+                      + (0,) * (field.degree - 1), n)
+        two = field._const(2)
+        for _ in range(max(1, (n * field.degree).bit_length() + 1)):
+            x, last = x * (two - sig * x), x
+            if x.coeffs == last.coeffs:
+                break
+        if (sig * x).coeffs != field.unit[0].coeffs:
             raise UsageError("Newton inversion failed to converge; inverting a non-unit?")
-        return CycloBase(self.field, -v, x.coeffs, unit.nprec)
-
-    def __str__(self):
-        return format_cyclo_base(self)
+        return CycloBase(field, -v, x.coeffs, n)
 
     def __repr__(self):
-        return f"CycloBase({self})"
-
-
-def _balanced(c: int, mod: int) -> int:
-    c %= mod
-    return c - mod if c > mod // 2 else c
+        return f"CycloBase({format_cyclo_base(self)})"
 
 
 def format_cyclo_base(b: CycloBase) -> str:
     parts = []
-    mod = b.field.p ** b.nprec
+    mod = b.field.mods(b.nprec)
     for r, c in enumerate(b.coeffs):
-        c = _balanced(c, mod)
+        if c > mod // 2:
+            c -= mod
         if c == 0:
             continue
         k = b.shift + r
@@ -347,56 +339,65 @@ def format_cyclo_base(b: CycloBase) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
 class CycloElt:
-    """num/den of polynomials in y over the base ring; den = (1,) without y."""
+    """num/den of polynomials in y over the base ring; den is the field's
+    unit without y.  Built by the field and the arithmetic; instances are
+    never mutated."""
 
-    field: CycloField
-    num: tuple
-    den: tuple
+    __slots__ = ("field", "num", "den")
 
-    def __post_init__(self):
-        if not self.den or _poly_all_zero(self.den):
-            raise ZeroDivisionError("zero denominator")
-        if not self.field.with_y and (len(self.num) > 1 or len(self.den) > 1):
-            raise UsageError("polynomials in y require a with_y field")
+    def __init__(self, field: CycloField, num: tuple, den: tuple):
+        self.field = field
+        self.num = num
+        self.den = den
 
-    def _check(self, other):
+    def __eq__(self, other):
         if not isinstance(other, CycloElt):
-            raise TypeError(f"cannot combine CycloElt with {type(other).__name__}")
-        if other.field != self.field:
-            raise UsageError("elements of different p-adic fields")
+            return NotImplemented
+        return (self.num == other.num and self.den == other.den
+                and (self.field is other.field or self.field == other.field))
 
-    # -- field operations -------------------------------------------------------
+    def __hash__(self):
+        return hash((self.num, self.den))
+
+    def _over(self, num: tuple, den: tuple) -> "CycloElt":
+        """num/den for a computed den, which must not be zero to precision."""
+        if not any(any(c.coeffs) for c in den):
+            raise ZeroDivisionError("zero denominator")
+        return CycloElt(self.field, num, self.field.unit if den == self.field.unit else den)
 
     def __add__(self, other):
-        self._check(other)
-        if self.den == other.den:
-            return CycloElt(self.field, _poly_add(self.field, self.num, other.num),
-                            self.den)
-        num = _poly_add(self.field,
-                        _poly_mul(self.field, self.num, other.den),
-                        _poly_mul(self.field, other.num, self.den))
-        return CycloElt(self.field, num, _poly_mul(self.field, self.den, other.den))
+        _check(self, other)
+        f = self.field
+        if self.den is other.den or self.den == other.den:
+            return CycloElt(f, _poly_add(f, self.num, other.num), self.den)
+        num = _poly_add(f, _poly_mul(f, self.num, other.den),
+                        _poly_mul(f, other.num, self.den))
+        return self._over(num, _poly_mul(f, self.den, other.den))
 
     def __neg__(self):
-        return CycloElt(self.field, tuple(-c for c in self.num), self.den)
+        return CycloElt(self.field, tuple([-c for c in self.num]), self.den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        self._check(other)
-        return CycloElt(self.field,
-                        _poly_mul(self.field, self.num, other.num),
-                        _poly_mul(self.field, self.den, other.den))
+        _check(self, other)
+        f = self.field
+        num = _poly_mul(f, self.num, other.num)
+        if self.den is f.unit and other.den is f.unit:
+            return CycloElt(f, num, f.unit)
+        return self._over(num, _poly_mul(f, self.den, other.den))
 
     def invert(self) -> "CycloElt":
+        """The inverse, laid out as the product 1 * (den/num) is."""
+        f = self.field
         if len(self.num) == 1 and len(self.den) == 1:
             inv = self.num[0].invert()
-            return CycloElt(self.field, (self.den[0] * inv,),
-                            (self.field.base_one(),))
-        return CycloElt(self.field, self.den, self.num)
+            return CycloElt(f, (_products(f, ((self.den[0], inv),), True),), f.unit)
+        if not any(any(c.coeffs) for c in self.num):
+            raise ZeroDivisionError("zero denominator")
+        return self._over(_poly_mul(f, f.unit, self.den), _poly_mul(f, f.unit, self.num))
 
     def pow(self, n: int) -> "CycloElt":
         if n < 0:
@@ -405,35 +406,38 @@ class CycloElt:
 
     def shift_pi(self, t: int) -> "CycloElt":
         """Multiply by pi**t, any integer t; exact and free."""
-        return CycloElt(self.field, tuple(c.div_pi(-t) for c in self.num), self.den)
+        return CycloElt(self.field, tuple([c.div_pi(-t) for c in self.num]), self.den)
 
-    # -- valuation, residue -------------------------------------------------------
+    def _den_valuation(self) -> int:
+        return 0 if self.den is self.field.unit else _poly_valuation(self.den)
+
+    def _gauss(self, level: int):
+        """(v(num), v(den)), or None when num is zero to a bound that puts
+        v(self) above level."""
+        dv = self._den_valuation()
+        try:
+            return _poly_valuation(self.num), dv
+        except ZeroToPrecisionError as exc:
+            if exc.bound - dv > level:
+                return None
+            raise
 
     def valuation(self) -> int:
         """Gauss valuation of num minus Gauss valuation of den."""
-        return _poly_valuation(self.num) - _poly_valuation(self.den)
+        return _poly_valuation(self.num) - self._den_valuation()
 
     def valuation_is_above(self, threshold: int) -> bool:
         """Certified v(self) > threshold, raising when the data cannot tell."""
-        dv = _poly_valuation(self.den)
-        try:
-            nv = _poly_valuation(self.num)
-        except ZeroToPrecisionError as exc:
-            if exc.bound - dv > threshold:
-                return True
-            raise
-        return nv - dv > threshold
+        vs = self._gauss(threshold)
+        return vs is None or vs[0] - vs[1] > threshold
 
     def residue_class(self):
         """Image in GF(p) or GF(p)(y); requires v >= 0."""
         k = self.field.residue
-        dv = _poly_valuation(self.den)
-        try:
-            nv = _poly_valuation(self.num)
-        except ZeroToPrecisionError as exc:
-            if exc.bound - dv > 0:
-                return k.zero()
-            raise
+        vs = self._gauss(0)
+        if vs is None:
+            return k.zero()
+        nv, dv = vs
         v = nv - dv
         if v < 0:
             raise UsageError("negative valuation has no residue")
@@ -455,34 +459,35 @@ class CycloElt:
         return f"CycloElt({self})"
 
 
-def _poly_all_zero(poly) -> bool:
-    return all(c.is_represented_zero() for c in poly)
-
-
-def _poly_trim(field: CycloField, poly):
-    out = list(poly)
+def _poly_trim(field: CycloField, out: list) -> tuple:
+    """Drop trailing coefficients that are zero to the full precision."""
     full = field.nprec * field.degree
-    while len(out) > 1 and out[-1].is_represented_zero() and out[-1].bound >= full:
+    while len(out) > 1 and not any(out[-1].coeffs) and out[-1].bound >= full:
         out.pop()
     return tuple(out)
 
 
-def _poly_add(field: CycloField, a, b):
-    n = max(len(a), len(b))
-    z = field.base_zero()
-    out = [(a[i] if i < len(a) else z) + (b[i] if i < len(b) else z)
-           for i in range(n)]
+def _poly_add(field: CycloField, a: tuple, b: tuple) -> tuple:
+    if len(a) < len(b):
+        a, b = b, a
+    one = field.unit[0]
+    out = [x + y for x, y in zip(a, b)]
+    out += [x if x.shift <= 0 else _products(field, ((x, one),), True)
+            for x in a[len(b):]]
     return _poly_trim(field, out)
 
 
-def _poly_mul(field: CycloField, a, b):
-    out = [field.base_zero() for _ in range(len(a) + len(b) - 1)]
+def _poly_mul(field: CycloField, a: tuple, b: tuple) -> tuple:
+    """Each coefficient is one laid-out _products; a coefficient of a that
+    is zero to the full precision takes no part."""
+    full = field.nprec * field.degree
+    groups = [[] for _ in range(len(a) + len(b) - 1)]
     for i, x in enumerate(a):
-        if x.is_represented_zero() and x.bound >= field.nprec * field.degree:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return _poly_trim(field, out)
+        if any(x.coeffs) or x.bound < full:
+            for j, y in enumerate(b, i):
+                groups[j].append((x, y))
+    return _poly_trim(field, [_products(field, g, True) if g else field._zero
+                              for g in groups])
 
 
 def _poly_valuation(poly) -> int:
@@ -504,16 +509,11 @@ def _poly_valuation(poly) -> int:
 
 
 def format_cyclo(a: CycloElt) -> str:
-    num = _format_poly_y(a.num)
-    if len(a.den) == 1 and a.den[0].coeffs[:1] == (1,) \
-            and all(c == 0 for c in a.den[0].coeffs[1:]) and a.den[0].shift == 0:
-        return num
-    return f"({num})/({_format_poly_y(a.den)})"
-
-
-def _format_poly_y(poly) -> str:
-    return format_poly_y((j, format_cyclo_base(c)) for j, c in enumerate(poly)
-                         if not c.is_represented_zero())
+    num, den = (format_poly_y((j, format_cyclo_base(c)) for j, c in enumerate(poly)
+                              if any(c.coeffs)) for poly in (a.num, a.den))
+    one = len(a.den) == 1 and a.den[0].shift == 0 \
+        and a.den[0].coeffs == a.field.unit[0].coeffs
+    return num if one else f"({num})/({den})"
 
 
 # ---------------------------------------------------------------------------
@@ -657,12 +657,8 @@ def normalize_h(h: CycloElt, budget: int = 16) -> NormalizeOutcome:
     any reasonable budget; the defect-evidence outcome exists for interface
     symmetry with the equal-characteristic engine.
     """
-    return normalize_loop(h, budget, _classify_step, _advance, _w_val_or_none)
-
-
-def _classify_step(h: CycloElt):
-    c = classify_h(h)
-    return c, c.h
+    return normalize_loop(h, budget, lambda x: (c := classify_h(x), c.h),
+                          _advance, _w_val_or_none)
 
 
 def _advance(h: CycloElt, c: KummerClassification, room: int):

@@ -18,7 +18,8 @@ content checked here, sample by sample:
 
 Everything is certified arithmetic: identities are asserted to the carried
 precision and raise rather than report a silent pass.  Each sample computes
-N(y) once: it certifies y**p - y and gives v_L(y) = v(N(y))/p.  The other
+N(y) once: it certifies y**p - y, gives v_L(y) = v(N(y))/p and, when f is
+not best, the valuation of the last increment's y.  The other
 valuations are those of the displacement and, for p > 2, of gamma and its
 images under sigma - 1, whose increments are recorded.  valuation_L reads
 them off the valuation basis when f is best, with no norm, and off the full
@@ -99,28 +100,36 @@ def y_construct(b: ExtElt) -> LefschetzSample:
     computed are v_L(b) and v_L(sigma(b) - b) for s, and for p > 2 those of
     gamma and each (sigma - 1)**i(gamma), whose increments are recorded
     (at p = 2 there are none).  s' = -v(N(y))/p is read off the certified
-    N(y), the value y.valuation_L() would return from its full norm.
+    N(y), the value y.valuation_L() would return from its full norm.  When
+    f is not best, that norm is also the last increment's valuation, so
+    N(y) is computed once, where the loop needs it.
     """
     ext = b.ext
     p = ext.p
     s = lefschetz_val(b)
-    gamma = gamma_of(b)
-    y = gamma
+    y = gamma_of(b)
     increments = []
+    n_y = None
     prev_val = y.valuation_L() if p > 2 else None
-    for _ in range(p - 2):
+    for i in range(p - 2):
         y = y.sigma() - y
         if not _has_visible(y):
             raise ConstructionAssertError(
                 "an intermediate (sigma-1)^i(gamma) vanished to precision")
-        val = y.valuation_L()
+        if i == p - 3 and ext.basis_v_alpha is None:
+            # valuation_L of the final y would take its full norm: N(y)
+            n_y = y.norm()
+            val = n_y.valuation().divide(p)
+        else:
+            val = y.valuation_L()
         increments.append(val - prev_val)
         prev_val = val
     jump = y.sigma() - y - ext.one()
     if _has_visible(jump):
         raise ConstructionAssertError(
             "sigma(y) - y - 1 has a visible term; construction failed")
-    n_y = y.norm()
+    if n_y is None:
+        n_y = y.norm()
     direct = power(y, p, ext.one()) - y
     for c in direct.coeffs[1:]:
         if c.has_terms():

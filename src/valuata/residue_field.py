@@ -109,21 +109,18 @@ def power(x, n: int, one):
 
     Every element type raises to integer powers here, about 2*log2(n)
     products in all; the loop stops before the square no bit would use.
-    Callers handle negative n by inverting first.
-
-    The first product is ``one * x`` on purpose: a product is canonical for
-    every type, an operand need not be (``CycloElt.invert`` swaps numerator
-    and denominator unreduced), and starting from x would let x.pow(-1)
-    compare unequal (``==``) to the same value built by multiplication.
+    Callers handle negative n by inverting first.  The lowest set bit takes
+    its factor as it is, not as ``one * x``: x**1 is x itself, equal to
+    ``one * x`` for every product and inverse of the types here.
     """
-    result = one
+    result = None
     while n:
         if n & 1:
-            result = result * x
+            result = x if result is None else result * x
         n >>= 1
         if n:
             x = x * x
-    return result
+    return one if result is None else result
 
 
 @dataclass(frozen=True)

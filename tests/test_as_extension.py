@@ -1,4 +1,6 @@
+import json
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -271,3 +273,61 @@ def test_construction_normalizes_once(monkeypatch, preset, expr, splits):
     assert (ext.basis_v_alpha is not None) is best
     if best:
         assert ext.basis_v_alpha == f.valuation().divide(ext.p)
+
+
+# -- one normalize per generator per request ------------------------------------
+
+REQUESTS = [
+    ("analyze-as", "X^(-3)", "gf2-laurent"),
+    ("analyze-as", "X^(-1) + X^(2)", "gf3-laurent"),
+    ("analyze-as", "y*X^(-2)", "gf2y-laurent"),
+    ("analyze-as", "X^(-6)", "gf2-laurent"),
+    ("normalize-as", "X^(-12) + X^(-1)", "gf2-laurent"),
+    ("normalize-as", "2*X^(-9)", "gf3-laurent"),
+    ("normalize-as", "w", "gf4-laurent"),
+    ("normalize-as", "X^(-1)", "gf2-half-powers"),
+    ("normalize-as", "X^(-2) + X^(-1)", "gf2-laurent"),
+]
+
+
+def count_everywhere(monkeypatch):
+    """Count normalize and classify calls through every valuata module that
+    binds them, as the CLI and corpus import both by name."""
+    counts = Counter()
+    for name in ("normalize", "classify"):
+        original = getattr(best_f, name)
+
+        def wrapper(*args, _original=original, _name=name, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("valuata") and \
+                    getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapper)
+    return counts
+
+
+@pytest.mark.parametrize("command, expr, preset", REQUESTS)
+def test_one_normalize_per_request(monkeypatch, capsys, command, expr, preset):
+    """analyze-as classifies its generator once and normalizes nothing;
+    normalize-as normalizes once and classifies exactly as often as that
+    normalize does.  The Swan cross-check of a best result reuses the
+    certified outcome instead of normalizing f* again."""
+    from valuata.cli import main
+    field = _preset(preset)
+    f = parse_expr(expr, field)
+    counts = count_everywhere(monkeypatch)
+    if command == "normalize-as":
+        best_f.normalize(f, 16)
+        alone = counts["classify"]
+        counts.clear()
+    assert main([command, expr, "--field", preset]) == 0
+    body = json.loads(capsys.readouterr().out)
+    if command == "analyze-as":
+        assert dict(counts) == {"classify": 1}
+        best = body["classification"]["verdict"].startswith("best")
+    else:
+        assert dict(counts) == {"normalize": 1, "classify": alone}
+        best = body["outcome"] == "best-found"
+    assert (body["swan_check"] is not None) is best

@@ -3,7 +3,9 @@
 ``perfbench/tracer.py`` wraps ``poly_gcd`` in every module that binds it,
 reads ``len()`` of gcds and of RatFunc numerators and denominators,
 wraps ``GroupElt``'s arithmetic and comparisons on the class, and spans
-``ExtElt.norm``, ``invert`` and ``valuation_L``.  A change of
+``ExtElt.norm``, ``invert`` and ``valuation_L``, and on the interactive
+pass counts the Kummer layer (``CycloElt.__mul__`` and ``invert``,
+``classify_h``, ``normalize_h``) and ``FieldSpec.build``.  A change of
 representation that hides these calls from the wrappers, or that the
 counters can no longer read, fails here before it fails the benchmark.  The
 tracer is installed and removed directly, so nothing is written to
@@ -66,3 +68,12 @@ def test_traced_norm_ideal_pass():
     assert metrics["as_extension.ExtElt.norm.calls"][0] > 0
     assert metrics["as_extension.ExtElt.invert.calls"][0] > 0
     assert metrics["as_extension.ExtElt.valuation_L.calls"][0] > 0
+
+
+def test_traced_interactive_pass():
+    failed, metrics = traced_pass("interactive")
+    assert failed == []
+    for name in ("kummer.CycloElt.mul", "kummer.CycloElt.invert",
+                 "kummer.classify_h", "kummer.normalize_h",
+                 "corpus.FieldSpec.build"):
+        assert metrics[f"{name}.calls"][0] > 0, name

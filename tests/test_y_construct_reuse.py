@@ -6,10 +6,13 @@ first factor, and sigma adds a coefficient unscaled where its binomial
 scalar is 1.  The reference below is the earlier code, which recomputed
 v_L(y), always computed v_L(gamma), started every product from one and
 scaled by every scalar.  It runs with the reference sigma patched into
-ExtElt, so norms and valuations inside it take the old path too.  On drawn
-samples both must give ==-equal results, precision bounds included, or an
-exception of the same type, message and attributes.  A last part counts
-the work of one y_construct, so that repeated work cannot return unnoticed.
+ExtElt, so norms and valuations inside it take the old path too, and with
+the square-and-multiply that started from one * x (routes.old_power).  On
+drawn samples, over best and over not-best f (whose last increment is now
+read off N(y)), both must give ==-equal results, precision bounds included,
+or an exception of the same type, message and attributes.  A last part
+counts the work of one y_construct, so that repeated work cannot return
+unnoticed.
 """
 
 import math
@@ -34,9 +37,10 @@ from valuata.norm_ideal import (LefschetzSample, TraceLemmaReport,
                                 lefschetz_val, sample_generator,
                                 sample_unit_generator, verify_trace_lemma,
                                 y_construct)
-from valuata.residue_field import power
 from valuata.sampling import random_ext_elt
 from valuata.value_group import ge
+
+from routes import old_power
 
 
 # -- the reference: the code before the reuse ---------------------------------
@@ -74,7 +78,7 @@ def old_derivative_product(b):
 
 def old_gamma_of(b):
     p = b.ext.p
-    return power(b, p - 1, b.ext.one()) * old_derivative_product(b).invert()
+    return old_power(b, p - 1, b.ext.one()) * old_derivative_product(b).invert()
 
 
 def old_y_construct(b):
@@ -98,7 +102,7 @@ def old_y_construct(b):
         raise ConstructionAssertError(
             "sigma(y) - y - 1 has a visible term; construction failed")
     n_y = y.norm()
-    direct = power(y, p, ext.one()) - y
+    direct = old_power(y, p, ext.one()) - y
     for c in direct.coeffs[1:]:
         if c.has_terms():
             raise ConstructionAssertError(
@@ -232,6 +236,30 @@ def test_y_construct_matches_reference_at_p_5_and_7(ext, sample):
     assert outcome(y_construct, b) == reference(old_y_construct, b)
 
 
+@st.composite
+def not_best_extensions(draw):
+    """f = X^(-3k) + X^(-j) over GF(3), or X^(-5) over GF(5), integer
+    exponents: the leading pole is divisible by p, so f is not best and
+    every valuation_L of the construction takes a full norm."""
+    residue = draw(st.sampled_from(["gf:3", "gf:3", "gf:3", "gf:5"]))
+    field = field_for(residue, "int", draw(st.sampled_from(DRAWN_PRECISIONS)))
+    p = field.p
+    f = field.monomial(field.residue.one(), ge(-p * draw(st.sampled_from([1, 2]))))
+    if draw(st.booleans()):
+        f = f + field.monomial(field.residue.one(), ge(-draw(st.sampled_from([1, 2]))))
+    return ASExtension(field, f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(not_best_extensions(), samples)
+def test_y_construct_matches_reference_when_f_is_not_best(ext, sample):
+    """The last increment's valuation, read off N(y), agrees with the
+    reference's separate valuation_L of y: same result or same error."""
+    assert ext.basis_v_alpha is None
+    b = generator(ext, *sample)
+    assert outcome(y_construct, b) == reference(old_y_construct, b)
+
+
 @settings(max_examples=100, deadline=None)
 @given(extensions(SMALL_P), samples)
 def test_derivative_and_trace_lemma_match_reference(ext, sample):
@@ -333,17 +361,24 @@ def count_work(monkeypatch, fn, b):
 @pytest.mark.parametrize("residue, expr, expected, before", [
     # ferocious-style: GF(2)(y), a pole of order 3
     ("ratfunc:2", "X^(-3)",
-     {"valuation_L": 2, "norm": 1, "__mul__": 6, "scale_int": 0},
+     {"valuation_L": 2, "norm": 1, "__mul__": 4, "scale_int": 0},
      {"valuation_L": 4, "norm": 1, "__mul__": 7, "scale_int": 13}),
     ("gf:3", "X^(-1)",
-     {"valuation_L": 4, "norm": 1, "__mul__": 11, "scale_int": 5},
+     {"valuation_L": 4, "norm": 1, "__mul__": 9, "scale_int": 5},
      {"valuation_L": 5, "norm": 1, "__mul__": 12, "scale_int": 36}),
+    # not best: every valuation takes a full norm, and N(y) is the last one
+    ("gf:3", "X^(-3)",
+     {"valuation_L": 3, "norm": 4, "__mul__": 15, "scale_int": 9},
+     {"valuation_L": 5, "norm": 6, "__mul__": 22, "scale_int": 75}),
 ])
 def test_y_construct_work(monkeypatch, residue, expr, expected, before):
     """Calls made by one y_construct on a fixed unit generator, now and in
-    the reference.  A rise means repeated work has come back.  Both f are
-    best, so every valuation_L reads the valuation basis and the one norm
-    is N(y); the reference shares that valuation_L."""
+    the reference.  A rise means repeated work has come back.  When f is
+    best, every valuation_L reads the valuation basis and the one norm is
+    N(y); the reference shares that valuation_L.  When f is not best, the
+    norms are those of v_L(b), v_L(sigma(b) - b), v_L(gamma) and N(y), which
+    also gives the last increment.  Power starts from its first factor, so
+    gamma and y**p take one product fewer each than the reference's."""
     field = field_for(residue, "int", 24)
     ext = ASExtension(field, parse_expr(expr, field))
     b = sample_unit_generator(ext, random.Random(0))
